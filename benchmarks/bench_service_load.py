@@ -1,4 +1,4 @@
-"""Concurrent /damage load on the analysis service, both front-ends.
+"""Concurrent /damage load on the analysis service, both solve modes.
 
 The service exists to turn many small concurrent fault queries into few
 lane-packed kernel sweeps (PR 5's coalescer) and, since the sharded
@@ -9,11 +9,11 @@ records what a client actually experiences under that load:
    direct in-process :class:`GraphDamageAnalysis` damage vector; a
    single diverging float aborts the benchmark before any timing is
    recorded;
-2. **threaded/in-process** — the PR 5 stack: ``ThreadingHTTPServer``
-   front-end, coalesced batches solved on the dispatcher thread in the
-   server process;
-3. **sharded/async** — the asyncio front-end dispatching coalesced
-   batches to worker processes over shared-memory-shipped IR.
+2. **inprocess** — the asyncio front-end with ``shard_workers=0``:
+   coalesced batches solved on the dispatcher thread in the server
+   process;
+3. **sharded** — the same front-end dispatching coalesced batches to
+   worker processes over shared-memory-shipped IR.
 
 Per design and stack: p50/p99 request latency, throughput, batch
 occupancy (requests per kernel dispatch), and the peak per-shard queue
@@ -49,12 +49,7 @@ from repro.analysis import GraphDamageAnalysis
 from repro.analysis.faults import iter_all_faults
 from repro.bench import build_design
 from repro.rsn.primitives import NodeKind
-from repro.service import (
-    AnalysisService,
-    AsyncServerThread,
-    ServiceClient,
-    make_server,
-)
+from repro.service import AnalysisService, AsyncServerThread, ServiceClient
 from repro.spec import spec_for_network
 
 #: Designs under load: a SIB tree and an MBIST-style access network —
@@ -97,7 +92,8 @@ def _parse_histogram_mean(metrics_text, name):
 
 
 class _Stack:
-    """One bootable service + HTTP front-end combination."""
+    """One bootable service (in-process or sharded solving) behind the
+    asyncio front-end."""
 
     def __init__(self, flavor, workers, shards, batch_window):
         self.flavor = flavor
@@ -110,28 +106,13 @@ class _Stack:
         if flavor == "sharded":
             kwargs.update(shard_workers=workers, shards=shards)
         self.service = AnalysisService(**kwargs)
-        if flavor == "sharded":
-            self._aserver = AsyncServerThread(
-                self.service, host="127.0.0.1", port=0
-            )
-            self.url = self._aserver.url
-            self._httpd = None
-        else:
-            self._httpd = make_server(self.service, port=0)
-            host, port = self._httpd.server_address[:2]
-            self.url = f"http://{host}:{port}"
-            self._serve_thread = threading.Thread(
-                target=self._httpd.serve_forever, daemon=True
-            )
-            self._serve_thread.start()
-            self._aserver = None
+        self._aserver = AsyncServerThread(
+            self.service, host="127.0.0.1", port=0
+        )
+        self.url = self._aserver.url
 
     def close(self):
-        if self._aserver is not None:
-            self._aserver.stop()
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
+        self._aserver.stop()
         self.service.close(drain=False)
         self._tmp.cleanup()
 
@@ -241,7 +222,7 @@ def bench_design(
         "batch_window": batch_window,
         "parity": True,
     }
-    for flavor in ("threaded", "sharded"):
+    for flavor in ("inprocess", "sharded"):
         stack = _Stack(flavor, workers, shards, batch_window)
         try:
             client = ServiceClient(stack.url, timeout=120.0)
@@ -267,7 +248,7 @@ def bench_design(
         finally:
             stack.close()
         print(
-            f"{name:16s} {flavor:8s}: "
+            f"{name:16s} {flavor:9s}: "
             f"p50 {row[flavor]['p50_seconds'] * 1e3:7.2f}ms  "
             f"p99 {row[flavor]['p99_seconds'] * 1e3:7.2f}ms  "
             f"{row[flavor]['throughput_rps']:7.1f} req/s  "
@@ -275,8 +256,8 @@ def bench_design(
             flush=True,
         )
     row["throughput_ratio"] = (
-        row["sharded"]["throughput_rps"] / row["threaded"]["throughput_rps"]
-        if row["threaded"]["throughput_rps"] > 0
+        row["sharded"]["throughput_rps"] / row["inprocess"]["throughput_rps"]
+        if row["inprocess"]["throughput_rps"] > 0
         else 0.0
     )
     return row
@@ -311,11 +292,11 @@ def write_service_baseline(
         "designs": designs,
         "notes": (
             "Concurrent single-fault /damage load against two service "
-            "stacks: 'threaded' is the thread-per-request HTTP server "
-            "solving coalesced batches in-process; 'sharded' is the "
-            "asyncio front-end dispatching coalesced batches to a pool "
-            "of worker processes over shared-memory-shipped compiled "
-            "IR.  Every response is verified bit-identical to a direct "
+            "stacks behind the asyncio HTTP front-end: 'inprocess' "
+            "solves coalesced batches in the server process "
+            "(shard_workers=0); 'sharded' dispatches coalesced batches "
+            "to a pool of worker processes over shared-memory-shipped "
+            "compiled IR.  Every response is verified bit-identical to a direct "
             "GraphDamageAnalysis damage vector before and during "
             "timing.  The sharded stack's throughput advantage scales "
             "with host cores (see host.cpus); on a single-core "
@@ -334,7 +315,7 @@ def write_service_baseline(
 # ---------------------------------------------------------------------------
 # pytest entry points (benchmarks/ is also a pytest-benchmark suite)
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("flavor", ["threaded", "sharded"])
+@pytest.mark.parametrize("flavor", ["inprocess", "sharded"])
 def test_service_damage_load(benchmark, flavor):
     """200 verified single-fault requests at concurrency 16."""
     name = DESIGN_NAMES[0]

@@ -4,7 +4,9 @@ Boots the daemon via the CLI (the same code path a user runs), uploads a
 design over HTTP, runs an analyze job through :class:`ServiceClient`,
 and asserts the result is bit-identical to the direct in-process
 analysis.  Then exercises the coalesced ``/damage`` endpoint and the
-graceful SIGTERM shutdown.  Used by ``make serve-smoke`` and CI.
+graceful SIGTERM shutdown.  It does all of that twice: once with
+``--workers 0`` (batches solved in the server process) and once with
+the default sharded worker pool.  Used by ``make serve-smoke`` and CI.
 """
 
 import os
@@ -31,7 +33,15 @@ def free_port() -> int:
         return sock.getsockname()[1]
 
 
-def main() -> int:
+#: (label, extra serve arguments) — every mode gets the full smoke.
+MODES = (
+    ("in-process", ["--workers", "0"]),
+    ("sharded", []),
+)
+
+
+def smoke(label, extra_args) -> None:
+    print(f"== {label} (serve {' '.join(extra_args) or 'defaults'})")
     port = free_port()
     cache_dir = tempfile.mkdtemp(prefix="rsn-service-smoke-")
     env = {**os.environ}
@@ -50,6 +60,7 @@ def main() -> int:
             cache_dir,
             "--batch-window-ms",
             "20",
+            *extra_args,
         ],
         env=env,
         stdout=subprocess.PIPE,
@@ -108,6 +119,11 @@ def main() -> int:
         f"server exited with {server.returncode} after SIGTERM"
     )
     print("graceful shutdown OK")
+
+
+def main() -> int:
+    for label, extra_args in MODES:
+        smoke(label, extra_args)
     print("service smoke passed")
     return 0
 

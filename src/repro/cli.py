@@ -466,7 +466,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    kwargs = dict(
+    from .service import serve
+
+    return serve(
         host=args.host,
         port=args.port,
         verbose=args.verbose,
@@ -486,19 +488,6 @@ def _cmd_serve(args) -> int:
         log_level=args.log_level,
         log_jsonl=args.log_json,
     )
-    frontend = args.frontend
-    if frontend == "auto":
-        # The event loop pays off exactly when requests park on worker
-        # futures; without a pool the threaded server is the simpler
-        # beast to debug.
-        frontend = "async" if args.workers else "thread"
-    if frontend == "async":
-        from .service import serve_async
-
-        return serve_async(**kwargs)
-    from .service import serve
-
-    return serve(**kwargs)
 
 
 _SPARK_BLOCKS = " ▁▂▃▄▅▆▇█"
@@ -1083,7 +1072,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=2,
         metavar="N",
         help="analysis worker processes, sharded by network fingerprint "
-        "(default 2; 0 = run every sweep in-process, pre-PR-7 mode)",
+        "(default 2; 0 = run every sweep in the server process)",
     )
     serve.add_argument(
         "--shards",
@@ -1092,13 +1081,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="N",
         help="shard count for the fingerprint → worker map "
         "(default 4 × workers; more shards = finer rebalance granularity)",
-    )
-    serve.add_argument(
-        "--frontend",
-        choices=("auto", "async", "thread"),
-        default="auto",
-        help="HTTP front-end: asyncio event loop or thread-per-request "
-        "(default auto: async when worker processes are enabled)",
     )
     serve.add_argument(
         "--job-threads",

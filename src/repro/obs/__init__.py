@@ -2,8 +2,7 @@
 
 See DESIGN.md §5f (tracing/metrics) and §5k (the live telemetry tier:
 metrics history sampler, structured logging, sampling profiler, per-job
-resource accounting, dashboard).  ``repro.service.metrics`` re-exports
-the metrics classes for back-compat; new code should import from here.
+resource accounting, dashboard).
 """
 
 from .metrics import (

@@ -6,29 +6,28 @@ on a worker pool (:mod:`jobs`), concurrent fault queries are coalesced
 into shared bitset-kernel passes (:mod:`batching`) and executed on a
 sharded pool of worker *processes* keyed by IR fingerprint
 (:mod:`workers` — shared-memory kernel shipping, consistent-hash
-rebalance on crash), and everything is observable over
-Prometheus-format metrics (:mod:`metrics`).  Two interchangeable HTTP
-front-ends sit on top: the thread-per-request :mod:`server` and the
-event-loop :mod:`aserver`; both are stdlib-only, as is the retrying
-:mod:`client`.
+rebalance on crash), all behind the :class:`AnalysisService` facade in
+:mod:`server`.  One stdlib-asyncio HTTP front-end, :mod:`aserver`, sits
+on top and owns the route table and error mapping; with
+``shard_workers=0`` it solves coalesced batches in-process instead.
+Everything is observable over Prometheus-format metrics
+(:mod:`repro.obs.metrics`); the retrying :mod:`client` is stdlib-only
+too.
 
 Start it with ``repro-rsn serve``; drive it with ``repro-rsn submit``,
 :class:`ServiceClient`, or plain ``curl``.
 """
 
-from .aserver import AsyncServerThread, AsyncServiceServer, serve_async
+from .aserver import AsyncServerThread, AsyncServiceServer, serve
 from .batching import BatchCoalescer
 from .client import ServiceClient, ServiceClientError
 from .jobs import Job, JobQueue, JobStatus, TransientJobError
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .registry import NetworkRegistry, RegisteredNetwork, RegistryError
 from .server import (
     DEFAULT_HOST,
     DEFAULT_PORT,
     AnalysisService,
     NotFoundError,
-    make_server,
-    serve,
 )
 from .workers import (
     PoolClosedError,
@@ -42,15 +41,11 @@ __all__ = [
     "AsyncServerThread",
     "AsyncServiceServer",
     "BatchCoalescer",
-    "Counter",
     "DEFAULT_HOST",
     "DEFAULT_PORT",
-    "Gauge",
-    "Histogram",
     "Job",
     "JobQueue",
     "JobStatus",
-    "MetricsRegistry",
     "NetworkRegistry",
     "NotFoundError",
     "PoolClosedError",
@@ -62,7 +57,5 @@ __all__ = [
     "TransientJobError",
     "WorkerCrashError",
     "WorkerPool",
-    "make_server",
     "serve",
-    "serve_async",
 ]

@@ -1,26 +1,50 @@
-"""Asyncio front-end for the analysis service.
+"""The HTTP front-end of the analysis service (stdlib asyncio).
 
-The threaded HTTP server (PR 4) spends one OS thread per in-flight
-request — fine for tens of clients, but at ~1k concurrent `/damage`
-callers a thousand parked threads contend for the GIL just to sit in
-``future.result()``.  This front-end replaces the thread-per-request
-model with a single event loop: requests are parsed and validated on the
-loop, CPU-bound work goes to the sharded worker-process pool
-(:mod:`repro.service.workers`) through the coalescer, and the handler
-coroutine merely *awaits* the resulting future.  A thousand concurrent
-requests are a thousand coroutines, not a thousand threads.
+One event loop serves every connection: requests are parsed and
+validated on the loop, CPU-bound work goes through the coalescer — to
+the sharded worker-process pool (:mod:`repro.service.workers`) or, with
+``shard_workers=0``, to a sweep on the coalescer's dispatcher thread —
+and the handler coroutine merely *awaits* the resulting future.  A
+thousand concurrent requests are a thousand coroutines, not a thousand
+threads.  Blocking service calls that are not future-shaped (uploads
+interning a network, job submission, profiling) run in the loop's
+default thread-pool executor so the loop never stalls behind them.
 
-The route table, JSON shapes, error mapping, metrics and trace-id
-protocol are identical to :class:`repro.service.server._ServiceHandler`
-— the two front-ends are interchangeable on the wire, and every byte of
-a `/damage` response is the same (asserted in ``tests/service``).
-Blocking service calls that are not future-shaped (uploads interning a
-network, job submission) run in the loop's default thread-pool executor
-so the loop never stalls behind them.
+This module owns the service's only route table
+(:meth:`AsyncServiceServer._handle`), its HTTP error mapping and the
+``X-Trace-Id`` protocol (:meth:`AsyncServiceServer._route`); the
+:class:`~repro.service.server.AnalysisService` facade underneath knows
+nothing about HTTP.
 
-Use :func:`serve_async` as the entry point (the CLI's
-``serve --frontend async``), or :class:`AsyncServerThread` to host one
-on a private event-loop thread inside tests and benchmarks.
+API
+---
+=======  =================  ==============================================
+POST     /networks          upload (icl text / builder JSON / design name)
+GET      /networks          list registered networks
+POST     /jobs              submit a job (analyze / harden / table1 /
+                            campaign / sleep)
+GET      /jobs              list jobs
+GET      /jobs/<id>         job status + result
+DELETE   /jobs/<id>         cancel a job
+POST     /damage            coalesced fault-damage query
+GET      /healthz           liveness + versions + job counts (+ pool)
+GET      /version           package + analysis + IR versions
+GET      /metrics           Prometheus text exposition
+GET      /metrics/history   ring-buffer time series (?name=&points=)
+GET      /logs              structured log tail (?level=&trace_id=&limit=)
+POST     /profile           sampling profile (service or shard worker)
+GET      /trace/<id>        collected spans as Chrome trace JSON
+GET      /dashboard         self-contained live HTML dashboard
+=======  =================  ==============================================
+
+Errors are JSON ``{"error", "trace_id"}`` bodies: 404 for unknown
+routes, networks, jobs and traces; 408 for a ``/damage`` query that
+outlives its ``timeout``; 400 for invalid payloads and malformed HTTP
+(the latter also closes the connection); 500 for anything else.
+
+Use :func:`serve` as the entry point (the CLI's ``serve``), or
+:class:`AsyncServerThread` to host one on a private event-loop thread
+inside tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -49,7 +73,7 @@ from .server import (
 __all__ = [
     "AsyncServerThread",
     "AsyncServiceServer",
-    "serve_async",
+    "serve",
 ]
 
 _MAX_HEADERS = 100
@@ -70,6 +94,18 @@ _REASONS = {
 
 class _BadRequest(ReproError):
     """Malformed HTTP — answered with 400 and a closed connection."""
+
+
+async def _readline(reader) -> bytes:
+    """``reader.readline()`` with an over-limit line as a 400.
+
+    The stream's buffer limit (64 KiB by default) bounds a request or
+    header line; past it ``readline`` raises ``ValueError``.
+    """
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _BadRequest("request or header line too long") from None
 
 
 async def _off_loop(loop, fn, *args):
@@ -167,7 +203,7 @@ class AsyncServiceServer:
 
     async def _read_request(self, reader):
         """One parsed request, or ``None`` on a cleanly closed socket."""
-        request_line = await reader.readline()
+        request_line = await _readline(reader)
         if not request_line:
             return None
         try:
@@ -178,7 +214,7 @@ class AsyncServiceServer:
             raise _BadRequest("malformed request line") from None
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _readline(reader)
             if not line:
                 return None
             if line in (b"\r\n", b"\n"):
@@ -187,13 +223,16 @@ class AsyncServiceServer:
                 raise _BadRequest("too many headers")
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            raise _BadRequest("non-integer Content-Length") from None
         if length < 0 or length > _MAX_BODY:
             raise _BadRequest(f"invalid Content-Length {length}")
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, version, headers, body
 
-    # -- routing (mirrors the threaded handler byte-for-byte) ------------
+    # -- routing ---------------------------------------------------------
     async def _route(self, method, target, headers, body):
         started = time.perf_counter()
         raw_path, _, raw_query = target.partition("?")
@@ -369,7 +408,7 @@ class AsyncServiceServer:
 # ---------------------------------------------------------------------------
 # hosting helpers
 # ---------------------------------------------------------------------------
-async def _serve_async(
+async def _serve(
     service: AnalysisService,
     host: str,
     port: int,
@@ -395,7 +434,6 @@ async def _serve_async(
         # that), one human-readable stderr line otherwise.
         service.log.info(
             "service listening",
-            frontend="async",
             shard_workers=workers,
             url=f"http://{server.host}:{server.port}",
             cache=service.cache_dir or "disabled",
@@ -412,7 +450,7 @@ async def _serve_async(
     return 0
 
 
-def serve_async(
+def serve(
     host: str = DEFAULT_HOST,
     port: int = DEFAULT_PORT,
     verbose: bool = False,
@@ -420,10 +458,12 @@ def serve_async(
     ready_message: bool = True,
     **service_kwargs,
 ) -> int:
-    """Run the asyncio daemon until SIGINT/SIGTERM (CLI entry point)."""
+    """Run the daemon until SIGINT/SIGTERM; drains jobs on the way out
+    (the CLI's ``serve``).  ``shard_workers=0`` solves coalesced batches
+    in this process instead of in worker processes."""
     service = AnalysisService(**service_kwargs)
     return asyncio.run(
-        _serve_async(
+        _serve(
             service,
             host,
             port,
@@ -440,8 +480,7 @@ class AsyncServerThread:
     Tests and benchmarks need the async front-end alongside a live
     client in the same process; this wraps the loop bookkeeping:
     construction binds and serves, :meth:`stop` tears the listener and
-    loop down (the service is left to the caller, matching how tests
-    drive the threaded server).
+    loop down (the service is left to the caller).
     """
 
     def __init__(

@@ -1,32 +1,13 @@
-"""`repro.service` HTTP server: the batching analysis daemon.
+"""`repro.service` facade: the batching analysis daemon's state.
 
 :class:`AnalysisService` is the in-process facade tying the subsystem
 together — the network registry (upload/intern once), the job queue
 (long-running analyses), the micro-batching coalescer (concurrent fault
-queries share kernel sweeps) and the metrics registry.  The HTTP layer
-on top is a deliberately thin JSON translation over a stdlib
-``ThreadingHTTPServer`` (one thread per in-flight request, which is what
-lets `/healthz` and `/metrics` answer while a long job runs and what
-produces the concurrency the coalescer batches).
-
-API
----
-=======  =================  ==============================================
-POST     /networks          upload (icl text / builder JSON / design name)
-GET      /networks          list registered networks
-POST     /jobs              submit a job (analyze / harden / table1 /
-                            campaign / sleep)
-GET      /jobs              list jobs
-GET      /jobs/<id>         job status + result
-DELETE   /jobs/<id>         cancel a job
-POST     /damage            synchronous coalesced fault-damage query
-GET      /healthz           liveness + versions + job counts
-GET      /metrics           Prometheus text exposition
-GET      /metrics/history   ring-buffer time series (?name=&points=)
-GET      /logs              structured log tail (?level=&trace_id=&limit=)
-POST     /profile           sampling profile (service or shard worker)
-GET      /dashboard         self-contained live HTML dashboard
-=======  =================  ==============================================
+queries share kernel sweeps), the optional sharded worker-process pool
+and the metrics registry.  It knows nothing about HTTP: the one HTTP
+front-end, :mod:`repro.service.aserver`, owns the route table, the
+error mapping and the ``X-Trace-Id`` protocol, and calls into this
+facade.
 
 Analyze jobs run through :class:`repro.analysis.CriticalityEngine` with
 the service's shared disk cache, so a repeated analyze of the same
@@ -40,12 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import signal
-import threading
 import time
-import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .. import __version__
 from ..analysis.engine import (
@@ -56,7 +33,6 @@ from ..analysis.engine import (
 from ..analysis.faults import fault_from_dict
 from ..errors import ReproError
 from ..ir import IR_VERSION
-from ..obs.dashboard import dashboard_html
 from ..obs.export import chrome_trace_events
 from ..obs.history import MetricsHistory
 from ..obs.log import (
@@ -71,8 +47,6 @@ from ..obs.trace import (
     current_carrier,
     current_collector,
     enable_tracing,
-    new_trace_id,
-    root_span,
     span,
     tracing_enabled,
 )
@@ -86,8 +60,6 @@ __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "NotFoundError",
-    "make_server",
-    "serve",
 ]
 
 DEFAULT_HOST = "127.0.0.1"
@@ -228,7 +200,7 @@ class AnalysisService:
             max_faults=batch_max_faults,
             on_batch=self._batch_event,
         )
-        # The sharded worker-process tier (0 = legacy in-process mode:
+        # The sharded worker-process tier (0 = in-process mode:
         # every sweep runs under this process's GIL).
         self.pool: Optional[WorkerPool] = None
         if shard_workers:
@@ -606,8 +578,11 @@ class AnalysisService:
         """Validate and park a damage query on the coalescer.
 
         Returns ``(meta, future, timeout)`` where ``future`` resolves to
-        the damages list — the sync HTTP layer blocks on it, the asyncio
-        front-end awaits it off-thread.
+        the damages list; the HTTP front-end awaits it on its event
+        loop.  Concurrent calls targeting the same (fingerprint, seed,
+        policy) within the batching window share one kernel pass; with
+        a worker pool the pass runs on the shard that owns the
+        fingerprint.
         """
         if not isinstance(payload, dict):
             raise ReproError("damage payload must be an object")
@@ -634,17 +609,6 @@ class AnalysisService:
             "policy": policy,
         }
         return meta, future, float(payload.get("timeout", 60.0))
-
-    def damage(self, payload: Dict) -> Dict:
-        """Synchronous, coalesced ``damage_vector`` query.
-
-        Concurrent calls targeting the same (fingerprint, seed, policy)
-        within the batching window share one kernel pass; with a worker
-        pool the pass runs on the shard that owns the fingerprint.
-        """
-        meta, future, timeout = self.damage_submit(payload)
-        damages = future.result(timeout=timeout)
-        return {**meta, "damages": damages}
 
     # -- introspection ---------------------------------------------------
     def version(self) -> Dict:
@@ -781,251 +745,3 @@ class AnalysisService:
             self.pool.close()
         if self.history is not None:
             self.history.stop()
-
-
-# ---------------------------------------------------------------------------
-# HTTP layer
-# ---------------------------------------------------------------------------
-class _ServiceHandler(BaseHTTPRequestHandler):
-    server_version = f"repro-rsn/{__version__}"
-    protocol_version = "HTTP/1.1"
-
-    # Quiet by default; the CLI flips this on with --verbose.
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if getattr(self.server, "verbose", False):
-            BaseHTTPRequestHandler.log_message(self, format, *args)
-
-    @property
-    def service(self) -> AnalysisService:
-        return self.server.service
-
-    # -- plumbing --------------------------------------------------------
-    def _read_json(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            return {}
-        body = self.rfile.read(length)
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ReproError(f"invalid JSON body: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ReproError("request body must be a JSON object")
-        return payload
-
-    def _send(
-        self, status: int, body: bytes, content_type: str
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id:
-            self.send_header("X-Trace-Id", trace_id)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, status: int, payload: Dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send(status, body, "application/json")
-
-    def _error(self, status: int, message: str) -> None:
-        self._send_json(
-            status,
-            {"error": message, "trace_id": getattr(self, "_trace_id", None)},
-        )
-
-    def _route(self, method: str) -> None:
-        started = time.perf_counter()
-        raw_path, _, raw_query = self.path.partition("?")
-        path = raw_path.rstrip("/") or "/"
-        # Last value wins for repeated keys, matching a plain dict API.
-        query = {
-            key: values[-1]
-            for key, values in urllib.parse.parse_qs(raw_query).items()
-        }
-        # Accept the caller's X-Trace-Id (so a client can stitch its own
-        # spans onto ours) or assign one; either way it is echoed on the
-        # response and stamped into error bodies.
-        header_id = (self.headers.get("X-Trace-Id") or "").strip()
-        self._trace_id = header_id[:64] if header_id else new_trace_id()
-        route, status = path, 500
-        payload: object = None
-        error: Optional[str] = None
-        # The span closes before the response bytes are written: once a
-        # client has received the response it can immediately GET
-        # /trace/{id} and find the root span already recorded.
-        with root_span(
-            "http.request",
-            trace_id=self._trace_id,
-            method=method,
-            path=path,
-        ) as request_span:
-            try:
-                route, status, payload = self._handle(method, path, query)
-            except NotFoundError as exc:
-                status, error = 404, str(exc)
-            except (ReproError, ValueError, KeyError, TypeError) as exc:
-                status, error = 400, str(exc)
-            except Exception as exc:  # pragma: no cover - defensive
-                status, error = 500, f"{type(exc).__name__}: {exc}"
-            finally:
-                request_span.set_attribute("route", route)
-                request_span.set_attribute("status", status)
-                service = self.service
-                service._m_requests.inc(
-                    method=method, path=route, status=str(status)
-                )
-                service._m_request_seconds.observe(
-                    time.perf_counter() - started, path=route
-                )
-                service.log.debug(
-                    "request",
-                    method=method,
-                    path=route,
-                    status=status,
-                    seconds=round(time.perf_counter() - started, 6),
-                )
-        if error is not None:
-            self._error(status, error)
-        elif isinstance(payload, str):
-            self._send(
-                status,
-                payload.encode("utf-8"),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-        elif isinstance(payload, tuple):
-            # (content_type, text) — the dashboard's HTML response.
-            content_type, text = payload
-            self._send(status, text.encode("utf-8"), content_type)
-        else:
-            self._send_json(status, payload)
-
-    def _handle(
-        self, method: str, path: str, query: Dict[str, str]
-    ) -> Tuple[str, int, object]:
-        """Returns (normalized route, status, payload)."""
-        service = self.service
-        if method == "GET" and path == "/healthz":
-            return path, 200, service.healthz()
-        if method == "GET" and path == "/version":
-            return path, 200, service.version()
-        if method == "GET" and path == "/metrics":
-            return path, 200, service.metrics.render()
-        if method == "GET" and path == "/metrics/history":
-            points = query.get("points")
-            return path, 200, service.metrics_history(
-                name=query.get("name") or None,
-                points=int(points) if points else None,
-            )
-        if method == "GET" and path == "/logs":
-            limit = query.get("limit")
-            return path, 200, service.logs(
-                level=query.get("level") or None,
-                trace_id=query.get("trace_id") or None,
-                logger=query.get("logger") or None,
-                limit=int(limit) if limit else 200,
-            )
-        if method == "POST" and path == "/profile":
-            return path, 200, service.profile(self._read_json())
-        if method == "GET" and path == "/dashboard":
-            return path, 200, ("text/html; charset=utf-8", dashboard_html())
-        if method == "GET" and path.startswith("/trace/"):
-            trace_id = path[len("/trace/") :]
-            if "/" not in trace_id:
-                return "/trace/{id}", 200, service.trace(trace_id)
-        if path == "/networks":
-            if method == "GET":
-                return path, 200, service.list_networks()
-            if method == "POST":
-                return path, 201, service.upload(self._read_json())
-        if path == "/jobs":
-            if method == "GET":
-                return path, 200, service.list_jobs()
-            if method == "POST":
-                return path, 202, service.submit_job(self._read_json())
-        if path.startswith("/jobs/"):
-            job_id = path[len("/jobs/") :]
-            route = "/jobs/{id}"
-            if "/" not in job_id:
-                if method == "GET":
-                    return route, 200, service.job_info(job_id)
-                if method == "DELETE":
-                    return route, 200, service.cancel_job(job_id)
-        if method == "POST" and path == "/damage":
-            return path, 200, service.damage(self._read_json())
-        raise NotFoundError(f"no route {method} {path}")
-
-    def do_GET(self):  # noqa: N802 - stdlib naming
-        self._route("GET")
-
-    def do_POST(self):  # noqa: N802
-        self._route("POST")
-
-    def do_DELETE(self):  # noqa: N802
-        self._route("DELETE")
-
-
-class ServiceServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying its :class:`AnalysisService`."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-    # The coalescer feeds on concurrent bursts; the stdlib default listen
-    # backlog of 5 would reset connections under exactly that load.
-    request_queue_size = 256
-
-    def __init__(self, address, service: AnalysisService, verbose=False):
-        super().__init__(address, _ServiceHandler)
-        self.service = service
-        self.verbose = verbose
-
-
-def make_server(
-    service: AnalysisService,
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-    verbose: bool = False,
-) -> ServiceServer:
-    """Bind a server for ``service`` (port 0 picks an ephemeral port)."""
-    return ServiceServer((host, port), service, verbose=verbose)
-
-
-def serve(
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-    verbose: bool = False,
-    install_signal_handlers: bool = True,
-    ready_message: bool = True,
-    **service_kwargs,
-) -> int:
-    """Run the daemon until SIGINT/SIGTERM; drains jobs on the way out."""
-    service = AnalysisService(**service_kwargs)
-    server = make_server(service, host, port, verbose=verbose)
-    stop = threading.Event()
-
-    def _shutdown(signum, frame):
-        stop.set()
-        # shutdown() blocks until serve_forever returns - do it off-thread.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    if install_signal_handlers:
-        signal.signal(signal.SIGINT, _shutdown)
-        signal.signal(signal.SIGTERM, _shutdown)
-    actual_host, actual_port = server.server_address[:2]
-    if ready_message:
-        # Structured when logging is configured (service __init__ does
-        # that), one human-readable stderr line otherwise.
-        service.log.info(
-            "service listening",
-            url=f"http://{actual_host}:{actual_port}",
-            cache=service.cache_dir or "disabled",
-        )
-    try:
-        server.serve_forever(poll_interval=0.1)
-    except KeyboardInterrupt:  # pragma: no cover - direct ^C
-        pass
-    finally:
-        service.close(drain=True, timeout=30.0)
-        server.server_close()
-    return 0

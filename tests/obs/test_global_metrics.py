@@ -12,7 +12,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs.metrics import (
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -122,10 +121,3 @@ class TestRecordEngineStats:
         text = registry.render()
         assert '# TYPE repro_engine_cache_total counter' in text
         assert 'repro_engine_cache_total{outcome="miss"} 1' in text
-
-    def test_service_shim_reexports_the_obs_module(self):
-        from repro.service import metrics as shim
-
-        assert shim.MetricsRegistry is MetricsRegistry
-        assert shim.Counter is Counter
-        assert shim.global_registry is global_registry

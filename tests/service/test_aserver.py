@@ -3,12 +3,13 @@
 The headline acceptance test lives here: ~1k concurrent ``/damage``
 requests across four networks, answered by worker processes through the
 coalescer, must be bit-identical to direct in-process
-:class:`GraphDamageAnalysis`.  Also: wire-protocol parity with the
-threaded front-end (routes, errors, trace headers) and the pool section
-of ``/healthz``.
+:class:`GraphDamageAnalysis`.  Also: the wire protocol (routes, errors,
+trace headers, malformed HTTP) and the pool section of ``/healthz``.
 """
 
+import json
 import random
+import socket
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,6 +34,20 @@ DESIGN_NAMES = (
 )
 N_REQUESTS = 1000
 N_CLIENTS = 64
+
+
+def _raw_exchange(server, request: bytes) -> bytes:
+    """Send raw bytes to the server and read until it closes."""
+    address = (server.host, server.port)
+    with socket.create_connection(address, timeout=10.0) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +215,31 @@ class TestWireProtocol:
             backend="bitset",
         ).report()
         assert record["result"]["report"]["total"] == direct.total
+
+
+class TestMalformedRequests:
+    """Malformed HTTP gets a 400 and a closed connection, never a
+    silently dropped socket; the server keeps serving afterwards."""
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"POST /damage HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: twelve\r\n\r\n{}",
+            b"GET /" + b"a" * (100 * 1024) + b" HTTP/1.1\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\n"
+            b"X-Padding: " + b"p" * (100 * 1024) + b"\r\n\r\n",
+        ],
+        ids=["non-integer-content-length", "long-request-line", "long-header"],
+    )
+    def test_malformed_request_is_400(self, stack, request_bytes):
+        server = stack["server"]
+        response = _raw_exchange(server, request_bytes)
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), head[:80]
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]
+        assert ServiceClient(server.url).healthz()["status"] in (
+            "ok",
+            "degraded",
+        )

@@ -3,8 +3,6 @@ direct runs, per-job progress in the status JSON, campaign counters in
 ``/metrics``, and checkpoint resume across job submissions.
 """
 
-import threading
-
 import pytest
 
 from repro.analysis import GraphDamageAnalysis
@@ -15,7 +13,7 @@ from repro.campaigns import (
     MonteCarloPlan,
     run_campaign,
 )
-from repro.service import AnalysisService, ServiceClient, make_server
+from repro.service import AnalysisService
 from repro.service.client import ServiceClientError
 from repro.spec import spec_for_network
 
@@ -28,22 +26,6 @@ def service(tmp_path_factory):
     )
     yield svc
     svc.close(drain=False, timeout=10.0)
-
-
-@pytest.fixture(scope="module")
-def client(service):
-    server = make_server(service, port=0)
-    thread = threading.Thread(
-        target=server.serve_forever,
-        kwargs={"poll_interval": 0.05},
-        daemon=True,
-    )
-    thread.start()
-    host, port = server.server_address[:2]
-    yield ServiceClient(f"http://{host}:{port}", timeout=120.0)
-    server.shutdown()
-    thread.join(timeout=10.0)
-    server.server_close()
 
 
 @pytest.fixture(scope="module")

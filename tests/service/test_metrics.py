@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.service.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from repro.ir import intern
 from repro.rsn import icl
 from repro.rsn.ast import decl_to_dict
 from repro.bench.designs import get_design
-from repro.service import AnalysisService, ServiceClient, make_server
+from repro.service import AnalysisService
 from repro.service.client import ServiceClientError
 from repro.spec import spec_for_network
 
@@ -34,22 +34,6 @@ def service(tmp_path_factory):
     )
     yield svc
     svc.close(drain=False, timeout=10.0)
-
-
-@pytest.fixture(scope="module")
-def client(service):
-    server = make_server(service, port=0)
-    thread = threading.Thread(
-        target=server.serve_forever,
-        kwargs={"poll_interval": 0.05},
-        daemon=True,
-    )
-    thread.start()
-    host, port = server.server_address[:2]
-    yield ServiceClient(f"http://{host}:{port}", timeout=120.0)
-    server.shutdown()
-    thread.join(timeout=10.0)
-    server.server_close()
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ import pytest
 from repro.analysis.faults import iter_all_faults
 from repro.bench import build_design
 from repro.obs.trace import current_context, enable_tracing, root_span
-from repro.service import AnalysisService, ServiceClient, make_server
+from repro.service import AnalysisService
 
 
 @pytest.fixture(scope="module")
@@ -34,22 +34,6 @@ def service():
     )
     yield svc
     svc.close(drain=False, timeout=10.0)
-
-
-@pytest.fixture(scope="module")
-def client(service):
-    server = make_server(service, port=0)
-    thread = threading.Thread(
-        target=server.serve_forever,
-        kwargs={"poll_interval": 0.05},
-        daemon=True,
-    )
-    thread.start()
-    host, port = server.server_address[:2]
-    yield ServiceClient(f"http://{host}:{port}", timeout=120.0)
-    server.shutdown()
-    thread.join(timeout=10.0)
-    server.server_close()
 
 
 @pytest.fixture(scope="module")

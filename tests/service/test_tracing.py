@@ -8,7 +8,6 @@ the same ``X-Trace-Id`` the response echoed.
 """
 
 import json
-import threading
 
 import pytest
 
@@ -18,7 +17,7 @@ from repro.analysis.faults import iter_all_faults
 from repro.bench import build_design
 from repro.ir import IR_VERSION
 from repro.obs import disable_tracing
-from repro.service import AnalysisService, ServiceClient, make_server
+from repro.service import AnalysisService, AsyncServerThread, ServiceClient
 from repro.service.client import ServiceClientError
 
 
@@ -33,22 +32,6 @@ def service(tmp_path_factory):
     yield svc
     svc.close(drain=False, timeout=10.0)
     disable_tracing()
-
-
-@pytest.fixture(scope="module")
-def client(service):
-    server = make_server(service, port=0)
-    thread = threading.Thread(
-        target=server.serve_forever,
-        kwargs={"poll_interval": 0.05},
-        daemon=True,
-    )
-    thread.start()
-    host, port = server.server_address[:2]
-    yield ServiceClient(f"http://{host}:{port}", timeout=120.0)
-    server.shutdown()
-    thread.join(timeout=10.0)
-    server.server_close()
 
 
 @pytest.fixture(scope="module")
@@ -157,15 +140,8 @@ class TestTracingDisabledService:
         svc = AnalysisService(
             cache_dir=str(tmp_path / "cache"), workers=1, tracing=False
         )
-        server = make_server(svc, port=0)
-        thread = threading.Thread(
-            target=server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-        )
-        thread.start()
-        host, port = server.server_address[:2]
-        plain = ServiceClient(f"http://{host}:{port}", timeout=30.0)
+        server = AsyncServerThread(svc)
+        plain = ServiceClient(server.url, timeout=30.0)
         try:
             plain.healthz()
             assert plain.last_trace_id  # ids are assigned regardless
@@ -173,9 +149,7 @@ class TestTracingDisabledService:
                 plain.trace(plain.last_trace_id)
             assert excinfo.value.status == 404
         finally:
-            server.shutdown()
-            thread.join(timeout=10.0)
-            server.server_close()
+            server.stop()
             svc.close(drain=False, timeout=10.0)
             if saved is not None:
                 enable_tracing(saved)

@@ -285,22 +285,15 @@ class TestCampaign:
 class TestTop:
     @pytest.fixture()
     def live_url(self):
-        import threading
-
-        from repro.service import AnalysisService, make_server
+        from repro.service import AnalysisService, AsyncServerThread
 
         service = AnalysisService(no_cache=True, history_interval=0.05)
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
+        server = AsyncServerThread(service)
         # let the sampler tick at least once so the frame has data
         service.history.sample_once()
-        yield f"http://{host}:{port}"
+        yield server.url
         service.close(drain=False, timeout=10.0)
-        server.shutdown()
-        thread.join(timeout=10.0)
-        server.server_close()
+        server.stop()
 
     def test_once_renders_single_frame(self, live_url, capsys):
         assert main(["top", "--once", "--url", live_url]) == 0
@@ -355,7 +348,7 @@ class TestServeTelemetryFlags:
         assert (
             main(
                 [
-                    "serve", "--frontend", "thread",
+                    "serve",
                     "--history-interval", "0.25",
                     "--history-window", "64",
                     "--log-level", "warning",
@@ -368,6 +361,10 @@ class TestServeTelemetryFlags:
         assert captured["history_window"] == 64
         assert captured["log_level"] == "warning"
         assert captured["log_jsonl"] == "/tmp/svc.jsonl"
+        # One HTTP front-end: no serve option starts with "--front", so
+        # argparse rejects even a prefix of the old selector.
+        with pytest.raises(SystemExit):
+            main(["serve", "--front", "thread"])
 
     def test_history_interval_zero_allowed_negative_rejected(self):
         with pytest.raises(SystemExit):
