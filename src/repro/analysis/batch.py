@@ -73,11 +73,28 @@ A :class:`ControlCellBreak` is the *union* of its component effect sets
 (the cell's own break plus one worst-marginal stuck state per controlled
 mux, evaluated independently — Sec. IV-B.3); unions do not compose as a
 single reachability lane, so a composite fault occupies one lane per
-component and its accessibility bits are AND-ed at damage time.
+component and its accessibility bits are AND-ed at damage time.  The
+worst-marginal ports of *every* control cell are resolved together on
+the first query (:meth:`BatchFaultAnalysis._resolve_cell_ports`): break
+and stuck lanes of whole cells packed into shared chunks, one solve per
+chunk instead of one per cell.
+
+Fault multisets
+---------------
+:meth:`BatchFaultAnalysis.damage_of_fault_sets` evaluates simultaneous
+fault sets one lane each.  Plain ``Fault`` lists are lowered one at a
+time to hashed tuple states (duplicates share a lane).  Array-form
+blocks (:class:`repro.analysis.faults.FaultSetBlock`, what the
+Monte-Carlo samplers emit) skip the tuples: their ``(lane, candidate)``
+pairs become candidate-activity words, and a
+:class:`repro.core.lowering.PopulationLowering` built once per candidate
+table turns those into :class:`PackedStates` with a few array
+operations, applying the same override-beats-``setdefault`` pin rule.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -90,7 +107,14 @@ from ..ir import LANE_BITS, intern, lane_words
 from ..obs.resources import add_lane_bytes
 from ..obs.trace import span
 from ..rsn.network import RsnNetwork
-from .faults import ControlCellBreak, Fault, MuxStuck, SegmentBreak
+from .faults import (
+    CandidateTable,
+    ControlCellBreak,
+    Fault,
+    FaultSetBlock,
+    MuxStuck,
+    SegmentBreak,
+)
 
 _FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -206,7 +230,12 @@ class BatchFaultAnalysis:
             cell = ir.control_cell[mux_id]
             if ir.kinds[mux_id] == IR_MUX and cell >= 0:
                 self._cell_to_muxes.setdefault(cell, []).append(mux_id)
-        self._cell_ports_memo: Dict[int, Dict[str, int]] = {}
+        self._cell_ports_memo: Optional[Dict[int, Dict[str, int]]] = None
+        # One PopulationLowering per candidate table of array-form
+        # fault-set blocks, dropped with the table.
+        self._table_lowerings: "weakref.WeakKeyDictionary" = (
+            weakref.WeakKeyDictionary()
+        )
         self._build_schedule()
         #: Instrumentation surfaced through ``EngineStats``: lanes packed,
         #: chunks solved, vectorized sweeps executed, duplicate states
@@ -511,49 +540,49 @@ class BatchFaultAnalysis:
             tuple(sorted(forced.items())),
         )
 
+    def _fault_effect(self, fault: Fault) -> Tuple:
+        """``(broken ids, ((mux id, wrapped port), ...), override)`` of one
+        fault — the candidate-state shape of
+        :class:`~repro.core.lowering.PopulationLowering`.  ``override``
+        marks an explicit stuck pin, which beats the assumed pins of a
+        broken control cell on the same mux."""
+        ir = self.ir
+        if isinstance(fault, SegmentBreak):
+            return (ir.id_of(fault.segment),), (), False
+        if isinstance(fault, MuxStuck):
+            mux_id = ir.id_of(fault.mux)
+            return (), ((mux_id, fault.port % ir.fanin[mux_id]),), True
+        if isinstance(fault, ControlCellBreak):
+            pins = []
+            for mux, port in self.cell_stuck_ports(fault.cell).items():
+                mux_id = ir.id_of(mux)
+                pins.append((mux_id, port % ir.fanin[mux_id]))
+            return (ir.id_of(fault.cell),), tuple(pins), False
+        raise ReproError(f"unknown fault {fault!r}")
+
     def _components(self, fault: Fault) -> List[_State]:
         """The lanes a single fault occupies (several for a broken
         control cell: union-of-effects semantics, see module docstring)."""
-        ir = self.ir
-        if isinstance(fault, SegmentBreak):
-            return [self._state((ir.id_of(fault.segment),), {})]
-        if isinstance(fault, MuxStuck):
-            mux_id = ir.id_of(fault.mux)
-            return [
-                self._state((), {mux_id: fault.port % ir.fanin[mux_id]})
-            ]
-        if isinstance(fault, ControlCellBreak):
-            cell_id = ir.id_of(fault.cell)
-            components = [self._state((cell_id,), {})]
-            for mux, port in self.cell_stuck_ports(fault.cell).items():
-                mux_id = ir.id_of(mux)
-                components.append(
-                    self._state((), {mux_id: port % ir.fanin[mux_id]})
-                )
-            return components
-        raise ReproError(f"unknown fault {fault!r}")
+        broken, pins, _ = self._fault_effect(fault)
+        components = [self._state(broken, {})] if broken else []
+        components.extend(self._state((), dict([pin])) for pin in pins)
+        return components
 
     def _multiset_state(self, faults: Sequence[Fault]) -> _State:
         """One lane for a *simultaneous* fault multiset, mirroring
         :meth:`GraphDamageAnalysis.effect_of_faults` exactly (breaks
         accumulate, stuck selects pin, broken cells pin their muxes at
         the worst marginal ports without overriding explicit pins)."""
-        ir = self.ir
         broken: Set[int] = set()
         forced: Dict[int, int] = {}
         for fault in faults:
-            if isinstance(fault, SegmentBreak):
-                broken.add(ir.id_of(fault.segment))
-            elif isinstance(fault, MuxStuck):
-                mux_id = ir.id_of(fault.mux)
-                forced[mux_id] = fault.port % ir.fanin[mux_id]
-            elif isinstance(fault, ControlCellBreak):
-                broken.add(ir.id_of(fault.cell))
-                for mux, port in self.cell_stuck_ports(fault.cell).items():
-                    mux_id = ir.id_of(mux)
-                    forced.setdefault(mux_id, port % ir.fanin[mux_id])
-            else:
-                raise ReproError(f"unknown fault {fault!r}")
+            ids, pins, override = self._fault_effect(fault)
+            broken.update(ids)
+            for mux_id, port in pins:
+                if override:
+                    forced[mux_id] = port
+                else:
+                    forced.setdefault(mux_id, port)
         return self._state(broken, forced)
 
     # ------------------------------------------------------------------
@@ -759,10 +788,51 @@ class BatchFaultAnalysis:
     ) -> np.ndarray:
         """Damage of many *simultaneous* fault multisets, one lane each
         (the batched form of ``damage_of_faults`` — e.g. every Monte-
-        Carlo sample of ``expected_damage_under_rate`` in one pass)."""
+        Carlo sample of ``expected_damage_under_rate`` in one pass).
+
+        An array-form :class:`~repro.analysis.faults.FaultSetBlock` is
+        lowered straight to packed masks (:meth:`_damage_of_block`);
+        plain fault lists take the hashed-tuple path with duplicate
+        folding."""
+        if isinstance(fault_sets, FaultSetBlock):
+            return self._damage_of_block(fault_sets)
         return self._deduped_damages(
             [self._multiset_state(faults) for faults in fault_sets]
         )
+
+    def _damage_of_block(self, block: FaultSetBlock) -> np.ndarray:
+        """Per-lane damage of an array-form block: candidate-activity
+        words straight from the ``(lane, candidate)`` pairs, lowered by
+        the table's cached :class:`~repro.core.lowering.
+        PopulationLowering` and solved one kernel chunk at a time.
+
+        The lowering's override-beats-``setdefault`` pin rule is
+        :meth:`_multiset_state`'s, applied in ascending candidate order —
+        the order the block lists each lane's faults in — so every lane
+        equals its materialized ``Fault`` list exactly (tested)."""
+        damages = np.zeros(block.lanes)
+        lowering = self._table_lowering(block.table)
+        capacity = self.chunk_lanes * LANE_BITS
+        for lo in range(0, block.lanes, capacity):
+            chunk = block.lanes_slice(lo, lo + capacity)
+            active = lowering.pair_activity(chunk.lane, chunk.cand, chunk.lanes)
+            damages[lo : lo + chunk.lanes] = self.damage_of_packed(
+                lowering.packed(active, chunk.lanes)
+            )
+        return damages
+
+    def _table_lowering(self, table: CandidateTable):
+        """The (cached) lowering of one candidate table: every
+        candidate's :meth:`_fault_effect`, flattened into the scatter
+        tables of a :class:`~repro.core.lowering.PopulationLowering`."""
+        lowering = self._table_lowerings.get(table)
+        if lowering is None:
+            from ..core.lowering import PopulationLowering
+
+            states = [self._fault_effect(fault) for fault in table.faults]
+            lowering = PopulationLowering(self.ir, states, len(states))
+            self._table_lowerings[table] = lowering
+        return lowering
 
     def primitive_damages(self, names: Sequence[str]) -> List[float]:
         """``d_j`` for each named primitive: the policy aggregate over
@@ -806,36 +876,70 @@ class BatchFaultAnalysis:
     def cell_stuck_ports(self, cell: str) -> Dict[str, int]:
         """Assumed stuck value per controlled mux when ``cell`` breaks:
         worst *marginal* damage on top of the break, lowest port on ties
-        — the scalar rule of the other analyses, evaluated here from one
-        lane batch (break lane + one lane per candidate stuck value)."""
+        — the scalar rule of the other analyses.  The first call resolves
+        every control cell at once (:meth:`_resolve_cell_ports`)."""
+        cell_id = self.ir.id_of(cell)
+        if self._cell_ports_memo is None:
+            self._cell_ports_memo = self._resolve_cell_ports()
+        return dict(self._cell_ports_memo.get(cell_id, {}))
+
+    def _resolve_cell_ports(self) -> Dict[int, Dict[str, int]]:
+        """Every control cell's worst-marginal ports from lane batches.
+
+        Each cell needs its break lane plus one stuck lane per (mux,
+        stuck value) it drives; a mux has one control cell, so no lane
+        is shared between cells.  Cells are packed whole into chunks of
+        at most ``chunk_lanes * 64`` lanes (a cell needing more gets a
+        chunk of its own), each chunk is solved once, and every
+        marginal — the union damage of break and stuck lane minus the
+        break damage — comes from one weighted popcount over the
+        AND-ed accessibility bits.  ``np.argmax`` keeps the first of
+        equal marginals in ``stuck_values`` order: the lowest port."""
         ir = self.ir
-        cell_id = ir.id_of(cell)
-        cached = self._cell_ports_memo.get(cell_id)
-        if cached is not None:
-            return dict(cached)
-        muxes = self._cell_to_muxes.get(cell_id, [])
-        states: List[_State] = [self._state((cell_id,), {})]
-        candidates: List[Tuple[int, int, int]] = []  # (mux, port, lane)
-        for mux_id in muxes:
-            for port in ir.stuck_values(mux_id):
-                candidates.append((mux_id, port, len(states)))
-                states.append(self._state((), {mux_id: port}))
-        lane_damages, obs_bits, set_bits = self._lane_damages(states)
-        base = float(lane_damages[0])
-        ports: Dict[str, int] = {}
-        for mux_id in muxes:
-            best_port = 0
-            best_marginal = -1.0
-            for candidate_mux, port, lane in candidates:
-                if candidate_mux != mux_id:
-                    continue
-                marginal = (
-                    self._composite_damage(obs_bits, set_bits, [0, lane])
-                    - base
-                )
-                if marginal > best_marginal:
-                    best_marginal = marginal
-                    best_port = port
-            ports[ir.names[mux_id]] = best_port
-        self._cell_ports_memo[cell_id] = ports
-        return dict(ports)
+        capacity = self.chunk_lanes * LANE_BITS
+        memo: Dict[int, Dict[str, int]] = {}
+        cells = sorted(self._cell_to_muxes)
+        index = 0
+        while index < len(cells):
+            states: List[_State] = []
+            # One (break lane, stuck lane) column pair per candidate port,
+            # and the (cell, mux, ports) owning each run of pairs.
+            base_lanes: List[int] = []
+            stuck_lanes: List[int] = []
+            owners: List[Tuple[int, int, List[int]]] = []
+            while index < len(cells):
+                cell_id = cells[index]
+                muxes = [
+                    (mux_id, list(ir.stuck_values(mux_id)))
+                    for mux_id in self._cell_to_muxes[cell_id]
+                ]
+                need = 1 + sum(len(ports) for _, ports in muxes)
+                if states and len(states) + need > capacity:
+                    break
+                break_lane = len(states)
+                states.append(self._state((cell_id,), {}))
+                for mux_id, ports in muxes:
+                    owners.append((cell_id, mux_id, ports))
+                    for port in ports:
+                        base_lanes.append(break_lane)
+                        stuck_lanes.append(len(states))
+                        states.append(self._state((), {mux_id: port}))
+                memo[cell_id] = {}
+                index += 1
+            lane_damages, obs_bits, set_bits = self._lane_damages(states)
+            union_obs = obs_bits[:, base_lanes] & obs_bits[:, stuck_lanes]
+            union_set = set_bits[:, base_lanes] & set_bits[:, stuck_lanes]
+            marginals = (
+                (self._total_do - self._weighted_lane_sums(union_obs, self._do_w))
+                + (self._total_ds - self._weighted_lane_sums(union_set, self._ds_w))
+                - lane_damages[base_lanes]
+            )
+            offset = 0
+            for cell_id, mux_id, ports in owners:
+                best = 0
+                if ports:
+                    window = marginals[offset : offset + len(ports)]
+                    best = ports[int(np.argmax(window))]
+                    offset += len(ports)
+                memo[cell_id][ir.names[mux_id]] = best
+        return memo

@@ -145,6 +145,10 @@ class _AnalysisBase:
         else:
             self.tree = tree if tree is not None else decompose(network)
         self.policy = policy
+        #: Values callers derive from this analysis and reuse across
+        #: calls (campaign candidate tables, the spec token), keyed by
+        #: the caller.
+        self.derived: Dict = {}
         self._cell_to_muxes: Dict[str, List[str]] = {}
         ir = self.ir
         for mux_id in range(ir.n_nodes):

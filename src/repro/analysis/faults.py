@@ -17,7 +17,10 @@ bypass port) and a defect SIB bit is a ``ControlCellBreak``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Iterator, List, Tuple, Union
+
+import numpy as np
 
 from ..errors import ReproError
 from ..rsn.network import RsnNetwork
@@ -148,6 +151,91 @@ def iter_all_faults(network: RsnNetwork) -> Iterator[Fault]:
     for name in network.node_names():
         for fault in faults_of_primitive(network, name):
             yield fault
+
+
+# ----------------------------------------------------------------------
+# array-form fault-set blocks
+# ----------------------------------------------------------------------
+class CandidateTable:
+    """Every concrete fault of a site list, flattened into one table.
+
+    ``candidates[i]`` is site ``i``'s fault tuple
+    (:func:`faults_of_primitive`); ``faults`` concatenates them in site
+    order, so candidate index ``starts[i] + k`` is the ``k``-th fault of
+    site ``i``.  Identity matters: the bitset kernel caches one lowering
+    per table, so a table is built once and reused for every block drawn
+    over the same sites.
+    """
+
+    __slots__ = ("sites", "candidates", "faults", "counts", "starts", "__weakref__")
+
+    def __init__(self, sites: Sequence, candidates: Sequence):
+        self.sites = tuple(sites)
+        self.candidates = tuple(tuple(c) for c in candidates)
+        self.faults: Tuple[Fault, ...] = tuple(
+            fault for cands in self.candidates for fault in cands
+        )
+        self.counts = np.array(
+            [len(c) for c in self.candidates], dtype=np.int64
+        )
+        self.starts = np.zeros(len(self.counts), dtype=np.int64)
+        np.cumsum(self.counts[:-1], out=self.starts[1:])
+
+
+class FaultSetBlock(Sequence):
+    """``lanes`` simultaneous fault sets as ``(lane, candidate)`` pairs.
+
+    ``lane`` and ``cand`` are equal-length ``int64`` arrays, sorted by
+    lane and, within a lane, by ascending candidate index — the order a
+    per-sample loop over the sites appends faults in.  The block is a
+    ``Sequence[Sequence[Fault]]`` (``len`` is the lane count), so every
+    consumer of plain fault lists accepts it; ``Fault`` lists are built
+    on first element access, all lanes in one split.  The bitset kernel
+    reads the pairs directly instead
+    (:meth:`repro.analysis.batch.BatchFaultAnalysis.damage_of_fault_sets`).
+    """
+
+    def __init__(
+        self,
+        table: CandidateTable,
+        lanes: int,
+        lane: np.ndarray,
+        cand: np.ndarray,
+    ):
+        self.table = table
+        self.lanes = int(lanes)
+        self.lane = np.asarray(lane, dtype=np.int64)
+        self.cand = np.asarray(cand, dtype=np.int64)
+        self._lists = None
+
+    def __len__(self) -> int:
+        return self.lanes
+
+    def __getitem__(self, index):
+        if self._lists is None:
+            faults = self.table.faults
+            picked = [faults[c] for c in self.cand.tolist()]
+            bounds = self._bounds(0, self.lanes).tolist()
+            self._lists = [
+                picked[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+            ]
+        return self._lists[index]
+
+    def _bounds(self, lo: int, hi: int) -> np.ndarray:
+        """Pair offsets of lanes ``lo .. hi`` (``hi - lo + 1`` entries)."""
+        return np.searchsorted(self.lane, np.arange(lo, hi + 1))
+
+    def lanes_slice(self, lo: int, hi: int) -> "FaultSetBlock":
+        """Lanes ``lo .. hi-1`` as their own block, renumbered from 0."""
+        hi = min(hi, self.lanes)
+        lo = min(lo, hi)
+        start, stop = self._bounds(lo, hi)[[0, -1]]
+        return FaultSetBlock(
+            self.table,
+            hi - lo,
+            self.lane[start:stop] - lo,
+            self.cand[start:stop],
+        )
 
 
 # ----------------------------------------------------------------------

@@ -486,7 +486,10 @@ class GraphDamageAnalysis(_AnalysisBase):
     ) -> List[float]:
         """Damage of many simultaneous fault multisets — one lane each
         under the bitset backend (e.g. all Monte-Carlo defect samples in
-        one pass), a per-multiset loop otherwise."""
+        one pass), a per-multiset loop otherwise.  Array-form
+        :class:`~repro.analysis.faults.FaultSetBlock` s are lowered
+        straight to packed masks by the bitset kernel; the scalar
+        backends iterate their materialized fault lists."""
         if self._batch is not None:
             return [
                 float(value)

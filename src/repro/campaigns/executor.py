@@ -70,12 +70,17 @@ def campaign_key(kind: str, material: Dict) -> str:
 def spec_token(analysis) -> str:
     """A content hash of the damage weights the analysis runs under —
     the spec's contribution to the campaign key (specs have no
-    fingerprint of their own)."""
+    fingerprint of their own).  Memoized per analysis and spec object."""
+    memo = analysis.derived.get("spec_token")
+    if memo is not None and memo[0] is analysis.spec:
+        return memo[1]
     do_vec, ds_vec = analysis.ir.weight_vectors(analysis.spec)
     digest = hashlib.sha256()
     digest.update(do_vec.tobytes())
     digest.update(ds_vec.tobytes())
-    return digest.hexdigest()[:32]
+    token = digest.hexdigest()[:32]
+    analysis.derived["spec_token"] = (analysis.spec, token)
+    return token
 
 
 def lane_block(

@@ -9,6 +9,14 @@ per-rate curve reports the sample mean (the multi-fault generalization
 of Eq. 2's expectation), spread, and a bootstrap confidence interval on
 the mean.
 
+Blocks travel in array form: the samplers emit ``(lane, candidate)``
+pairs into one :class:`~repro.analysis.faults.CandidateTable` per
+analysis and hardened-unit set (:func:`candidate_table`, memoized with
+the spec token in ``analysis.derived``), and the bitset
+kernel lowers them straight to packed lane masks through a lowering it
+caches per table — no per-fault ``Fault`` objects or hashed tuple
+states on the campaign path.
+
 Bit-identity guarantees:
 
 * the ``scalar`` sampler reproduces the original
@@ -29,6 +37,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..analysis.faults import CandidateTable, FaultSetBlock
 from ..errors import ReproError
 from .executor import CampaignExecutor, lane_block, spec_token
 from .plan import MonteCarloPlan
@@ -39,6 +48,21 @@ from .sampler import (
     site_candidates,
     vectorized_samples,
 )
+
+
+def candidate_table(analysis, hardened_units=()) -> CandidateTable:
+    """The defect sites and their candidate faults for one hardened-unit
+    set, built on first use and cached on the analysis (a race between
+    two threads only builds an equal table twice)."""
+    key = ("candidates", tuple(hardened_units))
+    table = analysis.derived.get(key)
+    if table is None:
+        sites = campaign_sites(analysis.network, key[1])
+        table = CandidateTable(
+            sites, site_candidates(analysis.network, sites)
+        )
+        analysis.derived[key] = table
+    return table
 
 
 def run_monte_carlo(
@@ -55,8 +79,7 @@ def run_monte_carlo(
     network = analysis.network
     if network is None:
         raise ReproError("monte-carlo campaigns need a network object")
-    sites = campaign_sites(network, plan.hardened_units)
-    candidates = site_candidates(network, sites)
+    table = candidate_table(analysis, plan.hardened_units)
     block = lane_block(analysis, plan.block_lanes, max_lane_mb)
     blocks_per_rate = max(1, math.ceil(plan.samples / block))
     n_blocks = len(plan.rates) * blocks_per_rate
@@ -82,17 +105,13 @@ def run_monte_carlo(
     # The scalar stream is sequential within a rate, so the whole rate
     # is materialized on first use; rates whose blocks all replay from
     # the checkpoint never pay for sampling.
-    scalar_cache: Dict[int, List] = {}
+    scalar_cache: Dict[int, FaultSetBlock] = {}
 
-    def _scalar_sets(rate_index: int):
+    def _scalar_sets(rate_index: int) -> FaultSetBlock:
         sets = scalar_cache.get(rate_index)
         if sets is None:
             sets = scalar_samples(
-                network,
-                sites,
-                plan.rates[rate_index],
-                plan.samples,
-                plan.seed,
+                table, plan.rates[rate_index], plan.samples, plan.seed
             )
             scalar_cache[rate_index] = sets
         return sets
@@ -103,10 +122,10 @@ def run_monte_carlo(
         lo = block_index * block
         hi = min(lo + block, plan.samples)
         if plan.sampler == "scalar":
-            sets = _scalar_sets(rate_index)[lo:hi]
+            sets = _scalar_sets(rate_index).lanes_slice(lo, hi)
         else:
             rng = block_rng(plan.seed, rate_index, block_index)
-            sets = vectorized_samples(candidates, rate, hi - lo, rng)
+            sets = vectorized_samples(table, rate, hi - lo, rng)
         damages = analysis.damage_of_fault_sets(sets)
         executor.note_units("samples", hi - lo)
         return {"damages": [float(d) for d in damages]}
@@ -153,7 +172,7 @@ def run_monte_carlo(
         "plan": plan.as_dict(),
         "network": network.name,
         "fingerprint": analysis.ir.fingerprint,
-        "n_sites": len(sites),
+        "n_sites": len(table.sites),
         "block_lanes": block,
         "blocks_total": n_blocks,
         "blocks_completed": meta["completed"],

@@ -4,12 +4,15 @@ Two interchangeable samplers produce the fault multisets a rate block
 evaluates:
 
 * ``scalar`` — the original per-site ``random.Random`` loop of
-  ``expected_damage_under_rate``, preserved verbatim as the parity
-  reference: for a given ``(seed, rate)`` it reproduces the exact
-  pre-campaign RNG stream, so routing the function through the campaign
-  executor is seed-for-seed equivalent (tested).  Its stream is
-  sequential — sample ``i`` depends on every draw before it — so the
-  whole rate is materialized up front and blocks slice into it.
+  ``expected_damage_under_rate``, preserved as the parity reference:
+  for a given ``(seed, rate)`` it reproduces the exact pre-campaign RNG
+  stream, so routing the function through the campaign executor is
+  seed-for-seed equivalent (tested).  It draws ``rng.choice(range(n))``
+  where the original drew ``rng.choice(candidates)``; both consume the
+  same stream, since ``Random.choice`` is
+  ``seq[self._randbelow(len(seq))]``.  Its stream is sequential —
+  sample ``i`` depends on every draw before it — so the whole rate is
+  materialized up front and blocks slice into it.
 * ``vectorized`` — numpy ``default_rng`` streams keyed per
   ``(seed, rate index, block index)``: each lane block draws an
   independent substream, which is what makes checkpoint/resume
@@ -21,7 +24,12 @@ evaluates:
 Both samplers share the site model: every un-hardened SEGMENT/MUX
 primitive fails independently with probability ``rate``; a failing site
 draws uniformly among its concrete faults
-(:func:`repro.analysis.faults.faults_of_primitive`).
+(:func:`repro.analysis.faults.faults_of_primitive`).  Both emit
+array-form blocks (:class:`repro.analysis.faults.FaultSetBlock`):
+``(lane, candidate index)`` pairs into the campaign's flat
+:class:`~repro.analysis.faults.CandidateTable`, which the bitset kernel
+lowers straight to packed lane masks and the scalar backends read as
+plain ``Fault`` lists.
 """
 
 from __future__ import annotations
@@ -31,7 +39,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.faults import Fault, faults_of_primitive
+from ..analysis.faults import (
+    CandidateTable,
+    Fault,
+    FaultSetBlock,
+    faults_of_primitive,
+)
 from ..rsn.network import RsnNetwork
 from ..rsn.primitives import NodeKind
 
@@ -61,31 +74,33 @@ def campaign_sites(
 def site_candidates(
     network: RsnNetwork, sites: Sequence[str]
 ) -> List[Tuple[Fault, ...]]:
-    """Concrete fault choices per site, precomputed once per campaign."""
+    """Concrete fault choices per site, precomputed once per table."""
     return [faults_of_primitive(network, site) for site in sites]
 
 
 def scalar_samples(
-    network: RsnNetwork,
-    sites: Sequence[str],
-    rate: float,
-    samples: int,
-    seed: int,
-) -> List[List[Fault]]:
+    table: CandidateTable, rate: float, samples: int, seed: int
+) -> FaultSetBlock:
     """The original sequential sampler — byte-for-byte the RNG stream of
     the pre-campaign ``expected_damage_under_rate`` loop.  Returns one
-    (possibly empty) fault list per sample."""
+    (possibly empty) fault set per sample."""
     rng = random.Random(seed)
-    fault_sets: List[List[Fault]] = []
-    for _ in range(samples):
-        faults: List[Fault] = []
-        for site in sites:
-            if rng.random() < rate:
-                candidates = faults_of_primitive(network, site)
-                if candidates:
-                    faults.append(rng.choice(candidates))
-        fault_sets.append(faults)
-    return fault_sets
+    draw = rng.random
+    choice = rng.choice
+    # (first candidate index, choice range) per site; an empty range
+    # marks a site without modeled faults, which consumes no choice.
+    sites = [
+        (int(start), range(int(count)))
+        for start, count in zip(table.starts, table.counts)
+    ]
+    lanes: List[int] = []
+    cands: List[int] = []
+    for sample in range(samples):
+        for start, choices in sites:
+            if draw() < rate and choices:
+                lanes.append(sample)
+                cands.append(start + choice(choices))
+    return FaultSetBlock(table, samples, lanes, cands)
 
 
 def block_rng(seed: int, rate_index: int, block_index: int) -> np.random.Generator:
@@ -96,11 +111,11 @@ def block_rng(seed: int, rate_index: int, block_index: int) -> np.random.Generat
 
 
 def vectorized_samples(
-    candidates: Sequence[Tuple[Fault, ...]],
+    table: CandidateTable,
     rate: float,
     count: int,
     rng: np.random.Generator,
-) -> List[List[Fault]]:
+) -> FaultSetBlock:
     """Draw ``count`` samples from one block substream.
 
     Two uniform matrices decide everything: ``hit < rate`` marks failing
@@ -110,19 +125,19 @@ def vectorized_samples(
     therefore every checkpointed block — is a pure function of the
     substream key, not of previous blocks.
     """
-    n_sites = len(candidates)
+    n_cands = table.counts
+    n_sites = len(n_cands)
     if n_sites == 0 or count == 0:
-        return [[] for _ in range(count)]
-    hits = rng.random((count, n_sites)) < rate
-    choice_u = rng.random((count, n_sites))
-    n_cands = np.array([len(c) for c in candidates], dtype=np.int64)
+        return FaultSetBlock(table, count, (), ())
+    # One draw buffer serves both matrices: ``random(out=)`` fills it in
+    # the same C order as ``random(size)``, so the stream is unchanged.
+    draws = np.empty((count, n_sites))
+    hits = rng.random(out=draws) < rate
     hits &= n_cands > 0  # sites with no modeled faults never contribute
-    fault_sets: List[List[Fault]] = [[] for _ in range(count)]
-    rows, cols = np.nonzero(hits)
-    if len(rows):
-        picks = (choice_u[rows, cols] * n_cands[cols]).astype(np.int64)
-        # Guard the (probability-zero in practice) u == 1.0 edge.
-        np.minimum(picks, n_cands[cols] - 1, out=picks)
-        for row, col, pick in zip(rows, cols, picks):
-            fault_sets[row].append(candidates[col][pick])
-    return fault_sets
+    choice_u = rng.random(out=draws)
+    # Row-major flat hit positions: lane-major pairs in site order.
+    rows, cols = np.divmod(np.flatnonzero(hits), n_sites)
+    picks = (choice_u[rows, cols] * n_cands[cols]).astype(np.int64)
+    # Guard the (probability-zero in practice) u == 1.0 edge.
+    np.minimum(picks, n_cands[cols] - 1, out=picks)
+    return FaultSetBlock(table, count, rows, table.starts[cols] + picks)

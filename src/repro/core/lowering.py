@@ -1,4 +1,4 @@
-"""Whole-population genome -> lane-state lowering for the fault-set EA.
+"""Whole-population lowering of candidate sets to packed lane masks.
 
 :meth:`FaultSetHardeningProblem._state_of` lowers ONE genome to a
 ``(broken ids, mux pins)`` tuple with a Python loop over its un-hardened
@@ -8,6 +8,16 @@ at population 1000 and hopeless at 100k.  This module lowers a whole
 masks (:class:`repro.analysis.batch.PackedStates`) with a fixed, small
 number of vectorized operations, skipping the per-genome tuples
 entirely.
+
+Lowering is two steps.  The first turns a block into *candidate-activity
+words* — bit ``f`` of row ``c`` set iff lane ``f`` holds candidate ``c``
+— from a genome block (:meth:`PopulationLowering.masks`: a candidate is
+active when left un-hardened) or from sparse ``(lane, candidate)`` pairs
+(:meth:`PopulationLowering.pair_activity`: the Monte-Carlo fault-set
+blocks of :mod:`repro.campaigns.sampler`, whose candidates are the
+concrete faults of a flat candidate table).  The second, shared step
+(:meth:`PopulationLowering.packed`) scatters activity words into the
+kernel's broken/dead masks.
 
 Incidence precomputation
 ------------------------
@@ -27,7 +37,8 @@ scatter tables:
 
 Pin-resolution invariant
 ------------------------
-``_state_of`` merges pins with override-beats-``setdefault`` semantics:
+``_state_of`` (and, for fault sets, the kernel's ``_multiset_state``)
+merges pins with override-beats-``setdefault`` semantics:
 iterating candidates in ascending index order, a stuck-mux (override)
 candidate assigns ``forced[mux] = port`` while a broken-cell candidate
 only ``setdefault``s.  The net winner for a contested mux is therefore
@@ -156,11 +167,34 @@ class PopulationLowering:
                 f"{tuple(genomes.shape)}"
             )
         lanes = len(genomes)
-        words = lane_words(lanes)
         # Candidate-activity words: bit f of row c set iff genome f
         # leaves candidate c un-hardened.
-        active = _pack_lanes(np.ascontiguousarray(~genomes.T), words)
+        active = _pack_lanes(np.ascontiguousarray(~genomes.T), lane_words(lanes))
+        return self.packed(active, lanes)
 
+    def pair_activity(
+        self, lane: np.ndarray, cand: np.ndarray, lanes: int
+    ) -> np.ndarray:
+        """Candidate-activity words of ``lanes`` sparse fault sets given
+        as ``(lane, candidate)`` pairs: bit ``f`` of row ``c`` set iff
+        lane ``f`` holds candidate ``c``.  Built in the ``_pack_lanes``
+        byte layout without a dense boolean matrix."""
+        words = lane_words(lanes)
+        active = np.zeros((self.n_vars, words * 8), dtype=np.uint8)
+        lane = np.asarray(lane, dtype=np.int64)
+        bits = np.left_shift(np.uint8(1), (lane & 7).astype(np.uint8))
+        np.bitwise_or.at(
+            active.reshape(-1),
+            np.asarray(cand, dtype=np.int64) * (words * 8) + (lane >> 3),
+            bits,
+        )
+        return active.view(np.uint64)
+
+    def packed(self, active: np.ndarray, lanes: int) -> PackedStates:
+        """Lower ``(n_vars, words)`` candidate-activity words to packed
+        masks — the step shared by genome blocks (:meth:`masks`) and
+        sparse fault-set blocks (:meth:`pair_activity`)."""
+        words = lane_words(lanes)
         broken = None
         if self._break_nodes.size:
             rows = active[self._break_cands]

@@ -211,6 +211,72 @@ def test_cell_stuck_ports_match_scalar_rule(seed):
                 ), fault.cell
 
 
+def _per_cell_reference_ports(batch, cell):
+    """The former per-cell rule, kept as the reference for the one-pass
+    resolution: one lane batch per cell (break lane + one lane per
+    candidate stuck value), worst marginal damage, lowest port on ties."""
+    ir = batch.ir
+    cell_id = ir.id_of(cell)
+    muxes = batch._cell_to_muxes.get(cell_id, [])
+    states = [batch._state((cell_id,), {})]
+    candidates = []  # (mux, port, lane)
+    for mux_id in muxes:
+        for port in ir.stuck_values(mux_id):
+            candidates.append((mux_id, port, len(states)))
+            states.append(batch._state((), {mux_id: port}))
+    lane_damages, obs_bits, set_bits = batch._lane_damages(states)
+    base = float(lane_damages[0])
+    ports = {}
+    for mux_id in muxes:
+        best_port, best_marginal = 0, -1.0
+        for candidate_mux, port, lane in candidates:
+            if candidate_mux != mux_id:
+                continue
+            marginal = (
+                batch._composite_damage(obs_bits, set_bits, [0, lane]) - base
+            )
+            if marginal > best_marginal:
+                best_marginal, best_port = marginal, port
+        ports[ir.names[mux_id]] = best_port
+    return ports
+
+
+def _assert_cell_ports_match_reference(network, spec, chunk_lanes):
+    batch = BatchFaultAnalysis(network, spec, chunk_lanes=chunk_lanes)
+    reference = BatchFaultAnalysis(network, spec)
+    cells = [
+        fault.cell
+        for fault in _all_faults(network)
+        if isinstance(fault, ControlCellBreak)
+    ]
+    for cell in cells:
+        assert batch.cell_stuck_ports(cell) == (
+            _per_cell_reference_ports(reference, cell)
+        ), cell
+    return batch
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds, bridge=st.booleans(), chunk_lanes=st.sampled_from([1, 64]))
+def test_batched_cell_ports_match_per_cell_rule(seed, bridge, chunk_lanes):
+    network, spec = _build_any(seed, bridge)
+    _assert_cell_ports_match_reference(network, spec, chunk_lanes)
+
+
+@pytest.mark.parametrize("chunk_lanes", [1, 64])
+def test_batched_cell_ports_on_mbist(chunk_lanes):
+    """MBIST_2_5_5: 28 cells, 3 lanes each — ``chunk_lanes=1`` (64-lane
+    chunks) spreads the one pass over two kernel chunks."""
+    from repro.bench import build_design
+    from repro.spec import spec_for_network
+
+    network = build_design("MBIST_2_5_5")
+    spec = spec_for_network(network, seed=0)
+    batch = _assert_cell_ports_match_reference(network, spec, chunk_lanes)
+    # Every cell was queried, yet only the first query solved anything.
+    assert batch.counters["chunks"] == (2 if chunk_lanes == 1 else 1)
+
+
 def test_expected_damage_backends_agree():
     network, spec = _build(3)
     kwargs = dict(defect_rate=0.05, samples=40, seed=7)

@@ -58,6 +58,21 @@ def _old_expected_damage(network, spec, rate, samples, seed, backend):
     return sum(analysis.damage_of_fault_sets(fault_sets)) / samples
 
 
+def _record_lanes(analysis):
+    """Collect every per-lane damage the campaign asks ``analysis``
+    for, in call order."""
+    lanes = []
+    inner = analysis.damage_of_fault_sets
+
+    def recorded(fault_sets):
+        damages = inner(fault_sets)
+        lanes.extend(damages)
+        return damages
+
+    analysis.damage_of_fault_sets = recorded
+    return lanes
+
+
 class TestScalarParity:
     @settings(deadline=None, max_examples=15)
     @given(seed=seeds, rate_seed=st.integers(0, 10_000))
@@ -124,19 +139,25 @@ class TestVectorizedSampler:
         assert first["records"] == second["records"]
 
     def test_backend_independent_stream(self):
-        """The vectorized sampler never touches kernel state, so the
-        same plan gives the same mean on every backend."""
+        """The vectorized sampler never touches kernel state, so the same
+        plan gives the same damage on every lane of every block, on every
+        backend (the bitset backend reads the array-form blocks directly,
+        the scalar backends their materialized fault lists)."""
         network, spec = _build(11)
         plan = MonteCarloPlan(
             rates=(0.1,), samples=64, seed=5, sampler="vectorized",
-            bootstrap=0,
+            bootstrap=0, block_lanes=24,
         )
+        lanes = {}
         means = []
         for backend in ("bitset", "ir", "dict"):
             analysis = GraphDamageAnalysis(network, spec, backend=backend)
+            lanes[backend] = _record_lanes(analysis)
             means.append(
                 run_monte_carlo(analysis, plan)["records"][0]["mean_damage"]
             )
+        assert len(lanes["bitset"]) == 64
+        assert lanes["bitset"] == lanes["ir"] == lanes["dict"]
         assert means[0] == means[1] == means[2]
 
     def test_bootstrap_ci_deterministic_and_ordered(self):
