@@ -916,7 +916,7 @@ class CriticalityEngine:
                 dir=self.cache_dir, suffix=".tmp"
             )
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
+                handle.write(json.dumps(payload))
             os.replace(tmp_path, self._cache_path(key))
         except OSError:
             return 0  # a read-only cache dir must not fail the analysis

@@ -363,7 +363,7 @@ class SelectiveHardening:
                 dir=self.cache_dir, suffix=".tmp"
             )
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, default=float)
+                handle.write(json.dumps(payload, default=float))
             os.replace(tmp_path, self._ea_cache_path(key))
         except OSError:
             pass  # a read-only cache dir must not fail the optimization

@@ -74,19 +74,11 @@ def one_point_crossover(
         return offspring
     crossed = rng.random(pairs) < p_crossover
     points = rng.integers(1, n_vars, size=pairs)
-    columns = np.arange(n_vars)
-    pairs_per_block = max(1, _BLOCK_CELLS // n_vars)
-    for start in range(0, pairs, pairs_per_block):
-        stop = min(pairs, start + pairs_per_block)
-        first = offspring[2 * start : 2 * stop : 2]
-        second = offspring[2 * start + 1 : 2 * stop : 2]
-        swap = crossed[start:stop, None] & (
-            columns >= points[start:stop, None]
-        )
-        swapped_first = np.where(swap, second, first)
-        swapped_second = np.where(swap, first, second)
-        first[...] = swapped_first
-        second[...] = swapped_second
+    for pair, point in zip(
+        np.flatnonzero(crossed).tolist(), points[crossed].tolist()
+    ):
+        tails = offspring[2 * pair : 2 * pair + 2, point:]
+        tails[...] = tails[::-1].copy()
     return offspring
 
 

@@ -24,9 +24,7 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
 def domination_matrix(objectives: np.ndarray) -> np.ndarray:
     """Boolean matrix ``M[i, j]`` = individual ``i`` dominates ``j``."""
     objs = np.asarray(objectives, dtype=float)
-    less_equal = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    strictly_less = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
-    return less_equal & strictly_less
+    return _domination_rows(objs, 0, len(objs))
 
 
 def non_dominated_mask(objectives: np.ndarray) -> np.ndarray:
@@ -60,14 +58,28 @@ def dedupe_front(objectives: np.ndarray) -> np.ndarray:
     return np.asarray(unique, dtype=int)
 
 
-def _domination_rows(
-    objs: np.ndarray, lo: int, hi: int
-) -> np.ndarray:
-    """Rows ``[lo, hi)`` of the domination matrix (``M[i, j]`` = ``i``
-    dominates ``j``), computed without the full (n, n, m) broadcast."""
-    less_equal = np.all(objs[lo:hi, None, :] <= objs[None, :, :], axis=2)
-    strictly_less = np.any(objs[lo:hi, None, :] < objs[None, :, :], axis=2)
+def _domination_rows(objs: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows ``[lo, hi)`` of :func:`domination_matrix`, one objective
+    column at a time (DESIGN.md, "Vectorized selection")."""
+    head = objs[lo:hi]
+    less_equal = np.ones((len(head), len(objs)), dtype=bool)
+    strictly_less = np.zeros_like(less_equal)
+    for column in range(objs.shape[1]):
+        less_equal &= head[:, column, None] <= objs[None, :, column]
+        strictly_less |= head[:, column, None] < objs[None, :, column]
     return less_equal & strictly_less
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``a`` and ``b``, squared
+    deltas summed column by column: for fewer than eight columns the same
+    left-to-right float sum as ``sum(axis=2)`` over the broadcast."""
+    squared = np.zeros((len(a), len(b)))
+    for column in range(a.shape[1]):
+        delta = a[:, column, None] - b[None, :, column]
+        delta *= delta
+        squared += delta
+    return np.sqrt(squared, out=squared)
 
 
 def fast_non_dominated_sort(objectives: np.ndarray) -> List[np.ndarray]:

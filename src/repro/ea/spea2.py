@@ -35,6 +35,7 @@ from .operators import (
 )
 from .pareto import (
     _BLOCK_CELLS,
+    _distances,
     _domination_rows,
     hypervolume_2d,
     normalize,
@@ -174,20 +175,15 @@ def _fitness(objectives: np.ndarray):
     count = len(objs)
     norm = normalize(objs)
     block = max(1, _BLOCK_CELLS // max(1, count))
-
-    strength = np.zeros(count)
-    for lo in range(0, count, block):
-        hi = min(count, lo + block)
-        strength[lo:hi] = _domination_rows(objs, lo, hi).sum(axis=1)
-
+    k = min(count - 1, max(1, int(math.sqrt(count))))
     raw = np.zeros(count)
     sigma_k = np.empty(count)
-    k = min(count - 1, max(1, int(math.sqrt(count))))
     for lo in range(0, count, block):
         hi = min(count, lo + block)
-        raw += strength[lo:hi] @ _domination_rows(objs, lo, hi)
-        deltas = norm[lo:hi, None, :] - norm[None, :, :]
-        distances = np.sqrt((deltas * deltas).sum(axis=2))
+        # a block's strengths are its own row sums: one build per row
+        rows = _domination_rows(objs, lo, hi)
+        raw += rows.sum(axis=1).astype(float) @ rows
+        distances = _distances(norm[lo:hi], norm)
         # partition places the exact k-th order statistic at column k,
         # identical to the former full sort.
         sigma_k[lo:hi] = np.partition(distances, k, axis=1)[:, k]
@@ -208,8 +204,7 @@ def _environmental_selection(
     non_dominated = np.flatnonzero(fitness < 1.0)
     if len(non_dominated) > size:
         sub = norm[non_dominated]
-        deltas = sub[:, None, :] - sub[None, :, :]
-        distances = np.sqrt((deltas * deltas).sum(axis=2))
+        distances = _distances(sub, sub)
         keep = _truncate(np.arange(len(non_dominated)), distances, size)
         return non_dominated[keep]
     if len(non_dominated) < size:

@@ -223,10 +223,11 @@ class _Reducer:
     def _reduce_at(self, vertex: int):
         """Apply all reductions available at ``vertex``; yield vertices to
         re-examine."""
-        # Parallel merges: group in-edges by source.
+        # Parallel merges: group in-edges by source (needs two of them).
         by_src: Dict[int, List[_Edge]] = {}
-        for edge in self.in_edges[vertex]:
-            by_src.setdefault(edge.src, []).append(edge)
+        if len(self.in_edges[vertex]) > 1:
+            for edge in self.in_edges[vertex]:
+                by_src.setdefault(edge.src, []).append(edge)
         for src, group in by_src.items():
             while len(group) > 1:
                 group.sort(key=lambda e: min(e.ports, default=1 << 30))

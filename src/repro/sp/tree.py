@@ -86,13 +86,14 @@ class SPNode:
         return SPNode(SPKind.PARALLEL, left=left, right=right)
 
     # -- queries ---------------------------------------------------------
+    # S and P nodes always carry both children, leaves and wires none.
     @property
     def is_leaf(self) -> bool:
-        return self.kind in (SPKind.LEAF, SPKind.WIRE)
+        return self.left is None
 
     @property
     def is_inner(self) -> bool:
-        return self.kind in (SPKind.SERIES, SPKind.PARALLEL)
+        return self.left is not None
 
     def children(self) -> Tuple["SPNode", ...]:
         if self.is_leaf:
@@ -179,23 +180,23 @@ class SPTree:
         self._leaf_of: Dict[str, SPNode] = {}
         self._copies_of: Dict[str, List[SPNode]] = {}
         self._index_of: Dict[int, int] = {}
-        for leaf in root.in_order_leaves():
-            self._index_of[id(leaf)] = len(self.leaves)
-            self.leaves.append(leaf)
-            if leaf.primitive is None:
+        root.parent = None
+        for node in root.pre_order():
+            if node.is_inner:
+                node.left.parent = node.right.parent = node
                 continue
-            if leaf.primitive in self._leaf_of:
+            self._index_of[id(node)] = len(self.leaves)
+            self.leaves.append(node)
+            if node.primitive is None:
+                continue
+            if node.primitive in self._leaf_of:
                 raise ReproError(
-                    f"primitive {leaf.primitive!r} appears twice in the "
+                    f"primitive {node.primitive!r} appears twice in the "
                     "decomposition tree"
                 )
-            self._leaf_of[leaf.primitive] = leaf
-            canonical = self.aliases.get(leaf.primitive, leaf.primitive)
-            self._copies_of.setdefault(canonical, []).append(leaf)
-        for node in root.pre_order():
-            for child in node.children():
-                child.parent = node
-        root.parent = None
+            self._leaf_of[node.primitive] = node
+            canonical = self.aliases.get(node.primitive, node.primitive)
+            self._copies_of.setdefault(canonical, []).append(node)
 
     @property
     def is_virtualized(self) -> bool:

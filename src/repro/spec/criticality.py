@@ -206,12 +206,9 @@ def random_spec(
 
     critical_obs = rng.sample(names, round(frac_critical_obs * n))
     critical_ctl = rng.sample(names, round(frac_critical_set * n))
-    uncritical_do = sum(
-        do_w[name] for name in names if name not in critical_obs
-    )
-    uncritical_ds = sum(
-        ds_w[name] for name in names if name not in critical_ctl
-    )
+    obs_set, ctl_set = set(critical_obs), set(critical_ctl)
+    uncritical_do = sum(do_w[name] for name in names if name not in obs_set)
+    uncritical_ds = sum(ds_w[name] for name in names if name not in ctl_set)
     for name in critical_obs:
         do_w[name] = max(uncritical_do, float(hi))
     for name in critical_ctl:

@@ -111,6 +111,33 @@ class TestDiskCache:
         assert cached.unit_damage == report.unit_damage
         assert cached.total == report.total
 
+    def test_entry_is_one_shot_json(self, tmp_path):
+        """Entries are written with one ``json.dumps`` (C encoder): the
+        bytes equal ``json.dumps`` of the payload, which is also what the
+        streaming ``json.dump`` writes, and still load as a hit."""
+        import io
+
+        network, spec = _setup("TreeFlat")
+        first = CriticalityEngine(network, spec, cache_dir=str(tmp_path))
+        report = first.report()
+        payload = {
+            "fingerprint": first.stats.cache_key,
+            "analysis_version": engine_mod.ANALYSIS_VERSION,
+            "network": network.name,
+            "method": first.method,
+            "policy": first.policy,
+            "primitive_damage": report.primitive_damage,
+            "unit_damage": report.unit_damage,
+        }
+        path = tmp_path / f"{first.stats.cache_key}.json"
+        assert path.read_bytes() == json.dumps(payload).encode("utf-8")
+        streamed = io.StringIO()
+        json.dump(payload, streamed)
+        assert streamed.getvalue() == path.read_text(encoding="utf-8")
+        second = CriticalityEngine(network, spec, cache_dir=str(tmp_path))
+        assert second.report().primitive_damage == report.primitive_damage
+        assert second.stats.cache == "hit"
+
     def test_spec_change_invalidates(self, tmp_path):
         network = build_design("TreeFlat")
         spec0 = spec_for_network(network, seed=0)

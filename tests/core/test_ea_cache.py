@@ -125,3 +125,27 @@ def test_corrupt_cache_entry_degrades_to_miss(tmp_path, design):
     result = replay.optimize(generations=2, population_size=16, seed=0)
     assert replay.last_ea_cache == "miss"
     assert len(result.objectives) > 0
+
+
+def test_cache_entry_is_one_shot_json(tmp_path, design):
+    """The run cache is written with one ``json.dumps`` (C encoder): the
+    bytes are exactly ``json.dumps`` of the payload, which is also what
+    the streaming ``json.dump`` writes, and the entry replays as a hit."""
+    import io
+    import json
+
+    network, spec = design
+    _harden(network, spec, tmp_path).optimize(
+        generations=2, population_size=16, seed=0
+    )
+    (entry,) = tmp_path.glob("ea-*.json")
+    text = entry.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert text == json.dumps(payload)
+    streamed = io.StringIO()
+    json.dump(payload, streamed)
+    assert streamed.getvalue() == text
+
+    replay = _harden(network, spec, tmp_path)
+    replay.optimize(generations=2, population_size=16, seed=0)
+    assert replay.last_ea_cache == "hit"

@@ -49,12 +49,15 @@ class TestFitnessAssignment:
         full-matrix formulation it replaced."""
         import math
 
-        from repro.ea.pareto import domination_matrix, normalize
+        from repro.ea.pareto import normalize
 
         objs = np.random.default_rng(7).random((37, 2))
         fitness, _ = _fitness(objs)
 
-        matrix = domination_matrix(objs)
+        # the (n, n, m) broadcast form, independent of the kernels under test
+        matrix = np.all(objs[:, None, :] <= objs[None, :, :], axis=2) & np.any(
+            objs[:, None, :] < objs[None, :, :], axis=2
+        )
         strength = matrix.sum(axis=1).astype(float)
         raw = (strength[:, None] * matrix).sum(axis=0)
         norm = normalize(objs)
