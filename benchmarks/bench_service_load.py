@@ -95,14 +95,10 @@ class _Stack:
     """One bootable service (in-process or sharded solving) behind the
     asyncio front-end."""
 
-    def __init__(self, flavor, workers, shards, batch_window):
+    def __init__(self, flavor, workers, shards):
         self.flavor = flavor
         self._tmp = tempfile.TemporaryDirectory(prefix="repro-bench-svc-")
-        kwargs = dict(
-            cache_dir=self._tmp.name,
-            workers=2,
-            batch_window=batch_window,
-        )
+        kwargs = dict(cache_dir=self._tmp.name, workers=2)
         if flavor == "sharded":
             kwargs.update(shard_workers=workers, shards=shards)
         self.service = AnalysisService(**kwargs)
@@ -199,9 +195,7 @@ def run_load(
     }
 
 
-def bench_design(
-    name, requests, concurrency, workers, shards, batch_window
-):
+def bench_design(name, requests, concurrency, workers, shards):
     network = build_design(name)
     spec = spec_for_network(network, seed=0)
     faults = list(iter_all_faults(network))
@@ -219,11 +213,10 @@ def bench_design(
         "n_faults": len(faults),
         "workers": workers,
         "shards": shards,
-        "batch_window": batch_window,
         "parity": True,
     }
     for flavor in ("inprocess", "sharded"):
-        stack = _Stack(flavor, workers, shards, batch_window)
+        stack = _Stack(flavor, workers, shards)
         try:
             client = ServiceClient(stack.url, timeout=120.0)
             fingerprint = client.upload_network(design=name)["fingerprint"]
@@ -270,15 +263,12 @@ def write_service_baseline(
     concurrency=DEFAULT_CONCURRENCY,
     workers=2,
     shards=8,
-    batch_window=0.005,
 ):
     if quick:
         requests = min(requests, 200)
         concurrency = min(concurrency, 16)
     designs = [
-        bench_design(
-            name, requests, concurrency, workers, shards, batch_window
-        )
+        bench_design(name, requests, concurrency, workers, shards)
         for name in DESIGN_NAMES
     ]
     payload = {
@@ -328,7 +318,7 @@ def test_service_damage_load(benchmark, flavor):
             network, spec, backend="bitset"
         ).damage_vector(faults)
     ]
-    stack = _Stack(flavor, workers=2, shards=8, batch_window=0.005)
+    stack = _Stack(flavor, workers=2, shards=8)
     try:
         client = ServiceClient(stack.url, timeout=120.0)
         fingerprint = client.upload_network(design=name)["fingerprint"]
@@ -362,10 +352,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--shards", type=int, default=8)
-    parser.add_argument(
-        "--batch-window", type=float, default=0.005,
-        help="coalescer window in seconds (default 5ms)",
-    )
     args = parser.parse_args(argv)
     write_service_baseline(
         args.output,
@@ -374,7 +360,6 @@ def main(argv=None) -> int:
         concurrency=args.concurrency,
         workers=args.workers,
         shards=args.shards,
-        batch_window=args.batch_window,
     )
     return 0
 

@@ -58,8 +58,6 @@ def smoke(label, extra_args) -> None:
             str(port),
             "--cache-dir",
             cache_dir,
-            "--batch-window-ms",
-            "20",
             *extra_args,
         ],
         env=env,

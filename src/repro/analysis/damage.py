@@ -522,6 +522,14 @@ class FastDamageAnalysis(_AnalysisBase):
             return self._cell_break_damage(fault.cell)
         raise ReproError(f"unknown fault {fault!r}")
 
+    def damage_vector(self, faults: Sequence[Fault]) -> np.ndarray:
+        """Eq. 1 damage of every fault in ``faults``, evaluated
+        independently — the call shape of
+        :meth:`repro.analysis.BatchFaultAnalysis.damage_vector`."""
+        return np.array(
+            [self.damage_of_fault(fault) for fault in faults], dtype=float
+        )
+
     def worst_stuck_port(self, mux: str) -> int:
         damages = self._stuck_damages(mux)
         best_port = min(damages)

@@ -294,9 +294,6 @@ def load_hot_paths(path: str) -> Tuple[str, List[HotPath]]:
                         "concurrency": int(sharded.get("concurrency", 16)),
                         "workers": int(row.get("workers", 2)),
                         "shards": int(row.get("shards", 8)),
-                        "batch_window": float(
-                            row.get("batch_window", 0.005)
-                        ),
                     },
                 )
             )
@@ -548,7 +545,6 @@ def _measure_service(hot_path: HotPath, repeats: int) -> float:
         service = AnalysisService(
             cache_dir=tmp,
             workers=2,
-            batch_window=params["batch_window"],
             shard_workers=params["workers"],
             shards=params["shards"],
         )

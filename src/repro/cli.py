@@ -476,7 +476,6 @@ def _cmd_serve(args) -> int:
         no_cache=args.no_cache,
         max_cache_mb=args.cache_max_mb,
         workers=args.job_threads,
-        batch_window=args.batch_window_ms / 1000.0,
         job_timeout=args.job_timeout,
         engine_jobs=args.jobs,
         tracing=args.trace,
@@ -1095,14 +1094,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="ship compiled networks to workers by pickle instead of "
         "shared memory (debugging aid)",
-    )
-    serve.add_argument(
-        "--batch-window-ms",
-        type=_positive_float,
-        default=5.0,
-        metavar="MS",
-        help="fault-query coalescing window in milliseconds (default 5; "
-        "larger windows trade per-request latency for batch occupancy)",
     )
     serve.add_argument(
         "--job-timeout",

@@ -341,6 +341,10 @@ class CompiledNetwork:
             net.register_unit(
                 ControlUnit(unit_name, muxes=muxes, cells=cells, is_sib=is_sib)
             )
+        # The rebuilt network's compiled form is this IR: seed the intern
+        # memo so analyses of it (worker DP, analyze jobs) never compile
+        # it a second time.
+        _INTERNED[net] = self
         return net
 
     def __repr__(self):  # pragma: no cover - debugging aid

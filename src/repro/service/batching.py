@@ -1,43 +1,43 @@
-"""Micro-batching coalescer: many concurrent fault queries, one kernel pass.
+"""Micro-batching coalescer: many concurrent fault queries, one solve.
 
-The bitset kernel (:class:`repro.analysis.BatchFaultAnalysis`, PR 3)
-solves 64 fault lanes per ``uint64`` word — but only if somebody hands it
-64 faults at once.  A service receiving single-fault ``damage_of_fault``
-requests from independent clients would waste that width: each request
-alone occupies one lane of a 64-lane sweep.
+A request (``key``, list of faults) parks on a
+:class:`concurrent.futures.Future`.  Requests sharing a key (same
+network fingerprint / seed / policy, i.e. the same solver instance) are
+merged into one fault list, solved by a **single** ``damage_vector``
+call, and the per-request slices are scattered back to their futures.
+Since ``damage_vector`` evaluates each fault independently, the
+coalesced result is bit-identical to per-request evaluation (asserted
+end-to-end in ``tests/service``).
 
-The coalescer recovers the batch shape from concurrency.  A request
-(``key``, list of faults) parks on a :class:`concurrent.futures.Future`;
-requests sharing a key (same network fingerprint / seed / policy, i.e.
-the same kernel instance) that arrive within a short window are merged
-into one fault list, solved by a **single** ``damage_vector`` call — one
-lane-packed kernel pass — and the per-request slices are scattered back
-to their futures.  Since ``damage_vector`` evaluates each lane
-independently, the coalesced result is bit-identical to per-request
-evaluation (asserted end-to-end in ``tests/service``).
+Batches form by **group commit**, not by a timer:
 
-The window is the latency/throughput dial: a request never waits more
-than ``window`` seconds before its batch dispatches (and a batch that
-already holds ``max_faults`` lanes dispatches immediately), so the p50
-cost under low load is ~``window`` of added latency, while under high
-concurrency the kernel amortizes one sweep over every parked request.
-With the default 5 ms window and millisecond-scale sweeps, occupancy —
-requests per dispatch, exposed as a histogram via ``on_batch`` — climbs
-with load exactly like a GPU inference micro-batcher.
+* a key with no batch in flight dispatches its request at once — an
+  idle service adds no batching latency at all;
+* requests for a key whose solve is still running park, and dispatch
+  together as the next batch the moment that solve completes (sync or
+  async, success or failure);
+* a parked batch that reaches ``max_faults`` lanes dispatches early,
+  without waiting for the running solve.
 
-Dispatch runs on one dedicated thread per coalescer; per-key kernels are
-therefore driven single-threaded, which is exactly the thread-safety
-contract of :meth:`repro.service.registry.NetworkRegistry.batch_analysis`.
+So batch occupancy (requests per dispatch, exposed as a histogram via
+``on_batch``) follows load by itself: it is 1 while the solver keeps up
+and grows exactly as fast as requests queue behind a running solve.
+
+Dispatch runs on one dedicated thread per coalescer; synchronous solves
+therefore run single-threaded, which is the thread-safety contract of
+the in-process solvers
+(:func:`repro.service.solver.single_fault_solver`).
 
 A ``solve`` callable may also return a :class:`~concurrent.futures.
 Future` of the damages instead of the damages themselves — that is how
 the sharded worker tier plugs in: the dispatcher thread hands the merged
 batch to the shard queue and moves straight on to the next key, so
-batches for different shards solve concurrently while each kernel still
-sees single-threaded, in-order batches.  The scatter then runs from the
-future's done-callback.  :meth:`drain` flushes parked batches *and*
-waits for those in-flight asynchronous solves, which is what graceful
-shutdown calls before tearing the worker pool down.
+batches for different shards solve concurrently while each solver still
+sees in-order batches.  The scatter then runs from the future's
+done-callback, which also releases the key.  :meth:`drain` flushes
+parked batches *and* waits for those in-flight asynchronous solves,
+which is what graceful shutdown calls before tearing the worker pool
+down.
 """
 
 from __future__ import annotations
@@ -55,18 +55,17 @@ __all__ = ["BatchCoalescer"]
 
 
 class _PendingBatch:
-    """Requests parked for one key, waiting for the window to close."""
+    """Requests parked for one key, waiting for the key's solve slot."""
 
-    __slots__ = ("key", "solve", "requests", "n_faults", "deadline", "opened")
+    __slots__ = ("key", "solve", "requests", "n_faults", "opened")
 
-    def __init__(self, key, solve, window: float):
+    def __init__(self, key, solve):
         self.key = key
         self.solve = solve
         #: (faults, future, submitting thread's trace carrier or None)
         self.requests: List[Tuple[Sequence, Future, Optional[Dict]]] = []
         self.n_faults = 0
         self.opened = time.monotonic()
-        self.deadline = self.opened + window
 
 
 class BatchCoalescer:
@@ -74,24 +73,21 @@ class BatchCoalescer:
 
     def __init__(
         self,
-        window: float = 0.005,
         max_faults: int = 4096,
         on_batch: Optional[Callable[[int, int, float], None]] = None,
     ):
-        """``window`` — seconds a batch collects before dispatching;
-        ``max_faults`` — lane budget that triggers early dispatch;
+        """``max_faults`` — lane budget that dispatches a parked batch
+        without waiting for its key's running solve;
         ``on_batch(occupancy, lanes, age)`` — metrics hook per dispatch.
         """
-        if window < 0:
-            raise ReproError(f"window must be >= 0, got {window}")
         if max_faults < 1:
             raise ReproError(f"max_faults must be >= 1, got {max_faults}")
-        self.window = float(window)
         self.max_faults = int(max_faults)
         self._on_batch = on_batch
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._pending: Dict[Hashable, _PendingBatch] = {}
+        self._busy: Dict[Hashable, int] = {}  # key -> solves in flight
         self._inflight: set = set()  # Futures of async solves
         self._closed = False
         self._dispatcher = threading.Thread(
@@ -108,11 +104,11 @@ class BatchCoalescer:
         solve: Callable[[List], Sequence[float]],
         faults: Sequence,
     ) -> "Future[List[float]]":
-        """Park ``faults`` on ``key``'s open batch; resolve to the list
+        """Park ``faults`` on ``key``'s next batch; resolve to the list
         of damages for exactly these faults, in order.
 
         ``solve`` must be the same callable for every request sharing a
-        key (it is the memoized kernel's ``damage_vector``); the batch
+        key (it is the memoized solver's ``damage_vector``); the batch
         keeps the first one it sees.
         """
         future: "Future[List[float]]" = Future()
@@ -124,20 +120,24 @@ class BatchCoalescer:
                 raise ReproError("coalescer is closed")
             batch = self._pending.get(key)
             if batch is None:
-                batch = _PendingBatch(key, solve, self.window)
+                batch = _PendingBatch(key, solve)
                 self._pending[key] = batch
             batch.requests.append(
                 (list(faults), future, current_carrier())
             )
             batch.n_faults += len(faults)
-            self._wakeup.notify()
+            if self._ready(key, batch):
+                self._wakeup.notify()
         return future
 
     def flush(self) -> None:
-        """Dispatch every pending batch now (synchronously)."""
+        """Dispatch every pending batch now (synchronously), whether or
+        not its key has a solve in flight."""
         with self._lock:
             batches = list(self._pending.values())
             self._pending.clear()
+            for batch in batches:
+                self._acquire(batch.key)
         for batch in batches:
             self._dispatch(batch)
 
@@ -173,27 +173,41 @@ class BatchCoalescer:
         self.drain(timeout=timeout)
 
     # -- dispatch side ---------------------------------------------------
+    def _ready(self, key: Hashable, batch: _PendingBatch) -> bool:
+        """Group commit: a parked batch goes when its key is idle, or
+        early once it holds ``max_faults`` lanes.  Caller holds the
+        lock."""
+        return key not in self._busy or batch.n_faults >= self.max_faults
+
+    def _acquire(self, key: Hashable) -> None:
+        self._busy[key] = self._busy.get(key, 0) + 1
+
+    def _release(self, key: Hashable) -> None:
+        """A solve of ``key`` finished: its parked batch may go now."""
+        with self._lock:
+            count = self._busy.pop(key, 1) - 1
+            if count:
+                self._busy[key] = count
+            elif key in self._pending:
+                self._wakeup.notify()
+
     def _dispatch_loop(self) -> None:
         while True:
             with self._lock:
-                while not self._pending and not self._closed:
+                while True:
+                    if self._closed:
+                        return
+                    batches = [
+                        batch
+                        for key, batch in self._pending.items()
+                        if self._ready(key, batch)
+                    ]
+                    if batches:
+                        break
                     self._wakeup.wait()
-                if self._closed:
-                    return
-                now = time.monotonic()
-                ready = [
-                    key
-                    for key, batch in self._pending.items()
-                    if batch.deadline <= now
-                    or batch.n_faults >= self.max_faults
-                ]
-                if not ready:
-                    next_deadline = min(
-                        batch.deadline for batch in self._pending.values()
-                    )
-                    self._wakeup.wait(max(0.0, next_deadline - now))
-                    continue
-                batches = [self._pending.pop(key) for key in ready]
+                for batch in batches:
+                    del self._pending[batch.key]
+                    self._acquire(batch.key)
             for batch in batches:
                 self._dispatch(batch)
 
@@ -219,12 +233,14 @@ class BatchCoalescer:
                 ):
                     damages = batch.solve(merged)
         except BaseException as exc:
+            self._release(batch.key)
             self._fail(batch, exc)
             return
         if isinstance(damages, Future):
             # Async solver (the shard worker tier): don't block the
             # dispatcher — other keys' batches can dispatch to other
-            # shards while this one computes.  Scatter on completion.
+            # shards while this one computes.  The key stays busy, and
+            # the scatter runs, on completion.
             with self._lock:
                 self._inflight.add(damages)
             damages.add_done_callback(
@@ -233,6 +249,7 @@ class BatchCoalescer:
                 )
             )
             return
+        self._release(batch.key)
         self._scatter(batch, merged, damages, age)
 
     def _async_done(
@@ -240,6 +257,7 @@ class BatchCoalescer:
     ) -> None:
         with self._lock:
             self._inflight.discard(fut)
+        self._release(batch.key)
         try:
             damages = fut.result()
         except BaseException as exc:

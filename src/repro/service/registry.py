@@ -16,9 +16,9 @@ lock discipline:
 * the paper's randomized specification per ``seed``
   (:func:`repro.spec.spec_for_network` is deterministic in the seed, so
   clients only ever send the seed over the wire);
-* one :class:`repro.analysis.BatchFaultAnalysis` kernel per
-  ``(seed, policy)`` — the coalescer's lane solver
-  (:mod:`repro.service.batching`);
+* one single-fault solver per ``(seed, policy)`` — the coalescer's
+  ``/damage`` solver (:mod:`repro.service.batching`), routed by regime
+  by :func:`repro.service.solver.single_fault_solver`;
 * one :class:`repro.analysis.GraphDamageAnalysis` (plus a serialization
   lock) per ``(seed, policy, backend, chunk_lanes)`` — the campaign
   jobs' analysis.  The embedded kernel is not thread-safe, so campaign
@@ -32,9 +32,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-from ..analysis.batch import BatchFaultAnalysis
 from ..analysis.graph_analysis import GraphDamageAnalysis
 from ..bench import DESIGNS, build_design
 from ..errors import ReproError
@@ -43,6 +42,7 @@ from ..rsn import icl
 from ..rsn.ast import decl_from_dict, elaborate
 from ..rsn.network import RsnNetwork
 from ..spec.criticality import CriticalitySpec, spec_for_network
+from .solver import SingleFaultSolver, single_fault_solver
 
 
 class RegistryError(ReproError):
@@ -83,7 +83,7 @@ class NetworkRegistry:
         self._lock = threading.Lock()
         self._entries: Dict[str, RegisteredNetwork] = {}
         self._specs: Dict[Tuple[str, int], CriticalitySpec] = {}
-        self._batches: Dict[Tuple[str, int, str], BatchFaultAnalysis] = {}
+        self._solvers: Dict[Tuple[str, int, str], SingleFaultSolver] = {}
         self._campaigns: Dict[
             Tuple[str, int, str, str, int],
             Tuple[GraphDamageAnalysis, threading.Lock],
@@ -192,36 +192,26 @@ class NetworkRegistry:
                 spec = self._specs.setdefault(key, spec)
         return spec
 
-    def batch_analysis(
-        self,
-        fingerprint: str,
-        seed: int = 0,
-        policy: str = "max",
-        chunk_lanes: Optional[int] = None,
-    ) -> BatchFaultAnalysis:
-        """The lane-packed kernel for coalesced fault queries; memoized
-        per (fingerprint, seed, policy).
+    def damage_solver(
+        self, fingerprint: str, seed: int = 0, policy: str = "max"
+    ) -> SingleFaultSolver:
+        """The coalescer's single-fault solver; memoized per
+        (fingerprint, seed, policy).
 
-        The kernel itself is not thread-safe — the coalescer guarantees
-        that each instance is only driven from its dispatcher thread.
+        The solver is not thread-safe — the coalescer guarantees that
+        each instance is only driven from its dispatcher thread.
         """
         entry = self.get(fingerprint)
         key = (fingerprint, int(seed), str(policy))
         with self._lock:
-            batch = self._batches.get(key)
-        if batch is None:
-            kwargs = {}
-            if chunk_lanes is not None:
-                kwargs["chunk_lanes"] = int(chunk_lanes)
-            batch = BatchFaultAnalysis(
-                entry.network,
-                self.spec(fingerprint, seed=seed),
-                policy=policy,
-                **kwargs,
+            solver = self._solvers.get(key)
+        if solver is None:
+            solver = single_fault_solver(
+                entry.network, self.spec(fingerprint, seed=seed), policy
             )
             with self._lock:
-                batch = self._batches.setdefault(key, batch)
-        return batch
+                solver = self._solvers.setdefault(key, solver)
+        return solver
 
     def campaign_analysis(
         self,

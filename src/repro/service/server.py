@@ -30,9 +30,12 @@ from ..analysis.engine import (
     CriticalityEngine,
     default_cache_dir,
 )
-from ..analysis.faults import fault_from_dict
+from ..analysis.faults import ControlCellBreak, MuxStuck, fault_from_dict
 from ..errors import ReproError
 from ..ir import IR_VERSION
+from ..ir import MUX as IR_MUX
+from ..ir import ROLE_DATA as IR_ROLE_DATA
+from ..ir import SEGMENT as IR_SEGMENT
 from ..obs.export import chrome_trace_events
 from ..obs.history import MetricsHistory
 from ..obs.log import (
@@ -77,6 +80,33 @@ class NotFoundError(ReproError):
 _report_payload = report_payload
 
 
+def _check_fault(ir, fault) -> None:
+    """Reject a single fault ``ir``'s network cannot have: a break must
+    name a segment of the matching role (data for ``segment_break``, a
+    configuration cell for ``control_cell_break``), a stuck fault a mux
+    and one of its stuck values."""
+    if isinstance(fault, MuxStuck):
+        node_id = ir.id_of(fault.mux)
+        if ir.kinds[node_id] != IR_MUX:
+            raise ReproError(f"mux_stuck: {fault.mux!r} is not a mux")
+        if fault.port not in ir.stuck_values(node_id):
+            raise ReproError(
+                f"mux_stuck: mux {fault.mux!r} has no port {fault.port} "
+                f"(ports 0..{ir.fanin[node_id] - 1})"
+            )
+        return
+    cell = isinstance(fault, ControlCellBreak)
+    kind, wanted = (
+        ("control_cell_break", "configuration cell")
+        if cell
+        else ("segment_break", "data segment")
+    )
+    node_id = ir.id_of(fault.site)
+    is_data = ir.roles[node_id] == IR_ROLE_DATA
+    if ir.kinds[node_id] != IR_SEGMENT or is_data == cell:
+        raise ReproError(f"{kind}: {fault.site!r} is not a {wanted}")
+
+
 class AnalysisService:
     """Registry + job queue + coalescer + metrics, behind one facade."""
 
@@ -86,7 +116,6 @@ class AnalysisService:
         no_cache: bool = False,
         max_cache_mb: Optional[float] = None,
         workers: int = 2,
-        batch_window: float = 0.005,
         batch_max_faults: int = 4096,
         job_timeout: Optional[float] = None,
         job_retries: int = 2,
@@ -196,7 +225,6 @@ class AnalysisService:
             on_event=self._job_event,
         )
         self.coalescer = BatchCoalescer(
-            window=batch_window,
             max_faults=batch_max_faults,
             on_batch=self._batch_event,
         )
@@ -550,16 +578,17 @@ class AnalysisService:
     def _damage_solver(self, entry, seed: int, policy: str):
         """The coalescer's solve callable for one (network, seed, policy).
 
-        In-process mode returns the memoized kernel's ``damage_vector``
+        In-process mode returns the memoized solver's ``damage_vector``
         (synchronous).  Pool mode returns a closure that enqueues the
         merged batch on the owning shard and hands the coalescer a
-        Future, so the dispatcher never blocks on a sweep.
+        Future, so the dispatcher never blocks on a solve.  Both modes
+        route by regime through
+        :func:`repro.service.solver.single_fault_solver`.
         """
         if self.pool is None:
-            batch = self.registry.batch_analysis(
+            return self.registry.damage_solver(
                 entry.fingerprint, seed=seed, policy=policy
-            )
-            return batch.damage_vector
+            ).damage_vector
         self._pool_register(entry, seed)
         fingerprint = entry.fingerprint
 
@@ -579,9 +608,11 @@ class AnalysisService:
 
         Returns ``(meta, future, timeout)`` where ``future`` resolves to
         the damages list; the HTTP front-end awaits it on its event
-        loop.  Concurrent calls targeting the same (fingerprint, seed,
-        policy) within the batching window share one kernel pass; with
-        a worker pool the pass runs on the shard that owns the
+        loop.  Every fault is checked against the network's IR here,
+        before any solver sees it, so a fault the network cannot have
+        is a 400 in both service modes.  Concurrent calls targeting the
+        same (fingerprint, seed, policy) group-commit into one solve;
+        with a worker pool the solve runs on the shard that owns the
         fingerprint.
         """
         if not isinstance(payload, dict):
@@ -593,6 +624,8 @@ class AnalysisService:
         if not isinstance(raw_faults, list):
             raise ReproError("'faults' must be a list of fault objects")
         faults = [fault_from_dict(f) for f in raw_faults]
+        for fault in faults:
+            _check_fault(entry.ir, fault)
         with span(
             "service.damage",
             fingerprint=entry.fingerprint[:16],
@@ -737,8 +770,9 @@ class AnalysisService:
         """Graceful shutdown, in dependency order: flush parked batches
         (they may still dispatch to the pool), drain the job queue (jobs
         may still park on pool futures), then stop the workers.  A
-        SIGTERM inside an open batching window therefore resolves every
-        parked future instead of abandoning it."""
+        SIGTERM while requests are parked behind a running solve
+        therefore resolves every parked future instead of abandoning
+        it."""
         self.coalescer.close(timeout=timeout if drain else 0.0)
         self.queue.shutdown(drain=drain, timeout=timeout)
         if self.pool is not None:

@@ -27,10 +27,12 @@ module moves the CPU-bound work into a persistent pool of worker
   private collector and ship them home with each result, exactly like
   the engine's chunk workers (PR 5).
 
-Results are bit-identical to in-process evaluation: the worker builds
-the same :class:`repro.analysis.BatchFaultAnalysis` kernel from the same
-IR and the same pickled spec, so every float comes out of the same
-operation sequence (asserted end-to-end in ``tests/service``).
+Results are bit-identical to in-process evaluation: the worker routes
+through the same :func:`repro.service.solver.single_fault_solver`
+rule (the O(N) DP for series-parallel networks, the bitset kernel
+otherwise) over the same IR and the same pickled spec, so every float
+comes out of the same operation sequence (asserted end-to-end in
+``tests/service``).
 """
 
 from __future__ import annotations
@@ -178,10 +180,10 @@ def _worker_main(worker_id: int, work_q, result_q) -> None:
     """
     import gc
 
-    from ..analysis.batch import BatchFaultAnalysis
     from ..analysis.engine import CriticalityEngine
     from ..ir.shm import detach
     from ..obs.profile import profile_for
+    from .solver import single_fault_solver
 
     log = get_logger("worker")
 
@@ -209,26 +211,23 @@ def _worker_main(worker_id: int, work_q, result_q) -> None:
                 f"no spec for ({fp!r}, seed {seed}) on worker {worker_id}"
             ) from None
 
+    def _network_of(fp: str):
+        net = dict_nets.get(fp)
+        if net is None:
+            # Interns straight to the received IR: no second compile.
+            net = _ir_of(fp).to_network()
+            dict_nets[fp] = net
+        return net
+
     def _kernel_of(fp: str, seed: int, policy: str, chunk_lanes: int):
         key = (fp, seed, policy, chunk_lanes)
         kernel = kernels.get(key)
         if kernel is None:
-            kernel = BatchFaultAnalysis(
-                None,
-                _spec_of(fp, seed),
-                policy=policy,
-                chunk_lanes=chunk_lanes,
-                ir=_ir_of(fp),
+            kernel = single_fault_solver(
+                _network_of(fp), _spec_of(fp, seed), policy, chunk_lanes
             )
             kernels[key] = kernel
         return kernel
-
-    def _network_of(fp: str):
-        net = dict_nets.get(fp)
-        if net is None:
-            net = _ir_of(fp).to_network()
-            dict_nets[fp] = net
-        return net
 
     def _run(handler, carrier):
         """Run one handler, recording spans and log records into private
@@ -333,17 +332,11 @@ def _worker_main(worker_id: int, work_q, result_q) -> None:
                 )
 
                 def _solve():
-                    with span(
-                        "worker.damage",
-                        worker=worker_id,
-                        fingerprint=fp[:16],
-                        lanes=len(faults),
-                    ):
-                        kernel = _kernel_of(fp, seed, policy, chunk_lanes)
-                        damages = [
-                            float(d)
-                            for d in kernel.damage_vector(faults)
-                        ]
+                    damages = _kernel_of(
+                        fp, seed, policy, chunk_lanes
+                    ).damage_vector(
+                        faults, worker=worker_id, fingerprint=fp[:16]
+                    )
                     log.debug(
                         "damage batch solved",
                         worker=worker_id,

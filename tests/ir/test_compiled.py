@@ -193,7 +193,14 @@ class TestRoundTrip:
         compiled = intern(_network(seed))
         rebuilt = compiled.to_network()
         rebuilt.validate()
-        assert intern(rebuilt).fingerprint == compiled.fingerprint
+        # A fresh compile, not intern: intern returns ``compiled`` itself.
+        assert compile_network(rebuilt).fingerprint == compiled.fingerprint
+
+    def test_rebuilt_network_interns_to_its_ir(self):
+        compiled = intern(_network(3))
+        assert intern(compiled.to_network()) is compiled
+        clone = pickle.loads(pickle.dumps(compiled))
+        assert intern(clone.to_network()) is clone
 
     def test_to_network_preserves_mux_port_order(self):
         rebuilt = intern(_mux_pair(flipped=True)).to_network()
@@ -206,7 +213,7 @@ class TestRoundTrip:
         assert clone.fingerprint == compiled.fingerprint
         assert clone.names == compiled.names
         assert list(clone.succ_indices) == list(compiled.succ_indices)
-        assert intern(clone.to_network()).fingerprint == (
+        assert compile_network(clone.to_network()).fingerprint == (
             compiled.fingerprint
         )
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.bench import build_design
 from repro.errors import ReproError
-from repro.ir import intern
+from repro.ir import compile_network, intern
 from repro.ir.shm import (
     ShmSegment,
     ShmUnavailable,
@@ -80,7 +80,12 @@ class TestRoundTrip:
             other, shm = attach(segment.name)
             try:
                 rebuilt = other.to_network()
-                assert intern(rebuilt).fingerprint == ir.fingerprint
+                assert compile_network(rebuilt).fingerprint == ir.fingerprint
+                # The worker's DP and analyze jobs intern the rebuilt
+                # network: they must get the attached IR, not a
+                # second compile.
+                assert intern(rebuilt) is other
+                del rebuilt
             finally:
                 detach(other, shm)
         finally:

@@ -58,7 +58,6 @@ def stack():
         workers=2,
         shard_workers=2,
         shards=8,
-        batch_window=0.01,
         tracing=True,
     )
     server = AsyncServerThread(service, host="127.0.0.1", port=0)

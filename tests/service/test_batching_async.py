@@ -6,9 +6,11 @@ runs from the done-callback, `drain` waits for in-flight solves, and
 `close` still guarantees every accepted request resolves.
 """
 
+import sys
 import threading
 import time
-from concurrent.futures import Future
+from collections import Counter
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
@@ -40,19 +42,55 @@ class ManualSolver:
 
 
 def test_scatter_runs_from_done_callback():
-    coalescer = BatchCoalescer(window=0.02)
+    coalescer = BatchCoalescer()
     solver = ManualSolver()
     try:
         first = coalescer.submit("k", solver, ["a", "b"])
-        second = coalescer.submit("k", solver, ["c"])
         solver.wait_called(1)
+        # Parked behind the in-flight solve: nothing dispatches until
+        # that future resolves.
+        second = coalescer.submit("k", solver, ["c"])
+        third = coalescer.submit("k", solver, ["d"])
         merged, batch_future = solver.calls[0]
-        assert merged == ["a", "b", "c"]
+        assert merged == ["a", "b"]
         assert not first.done() and not second.done()
-        batch_future.set_result([1.0, 2.0, 3.0])
+        batch_future.set_result([1.0, 2.0])
         assert first.result(timeout=5.0) == [1.0, 2.0]
+        # The done-callback released the key: the parked requests go
+        # as one batch.
+        solver.wait_called(2)
+        merged, batch_future = solver.calls[1]
+        assert merged == ["c", "d"]
+        assert not second.done()
+        batch_future.set_result([3.0, 4.0])
         assert second.result(timeout=5.0) == [3.0]
+        assert third.result(timeout=5.0) == [4.0]
+        assert len(solver.calls) == 2
     finally:
+        coalescer.close(timeout=1.0)
+
+
+def test_busy_key_parks_until_solve_completes():
+    coalescer = BatchCoalescer()
+    solver, probe = ManualSolver(), ManualSolver()
+    try:
+        coalescer.submit("k", solver, ["a"])
+        solver.wait_called(1)
+        parked = coalescer.submit("k", solver, ["b"])
+        # An idle key submitted later dispatches in the same dispatcher
+        # pass that would have taken "k"'s batch, had it been ready.
+        coalescer.submit("probe", probe, ["p"])
+        probe.wait_called(1)
+        assert len(solver.calls) == 1 and not parked.done()
+        solver.calls[0][1].set_result([1.0])
+        solver.wait_called(2)
+        assert solver.calls[1][0] == ["b"]
+        solver.calls[1][1].set_result([2.0])
+        assert parked.result(timeout=5.0) == [2.0]
+    finally:
+        for _, future in solver.calls + probe.calls:
+            if not future.done():
+                future.set_result([0.0])
         coalescer.close(timeout=1.0)
 
 
@@ -60,7 +98,7 @@ def test_dispatcher_not_blocked_by_unresolved_future():
     # Two keys, two shards: the second batch must dispatch while the
     # first one's future is still pending — the old synchronous
     # dispatcher would have sat in solve() and serialized them.
-    coalescer = BatchCoalescer(window=0.0)
+    coalescer = BatchCoalescer()
     slow, fast = ManualSolver(), ManualSolver()
     try:
         slow_future = coalescer.submit("slow", slow, ["x"])
@@ -78,11 +116,11 @@ def test_dispatcher_not_blocked_by_unresolved_future():
 
 
 def test_drain_waits_for_inflight_solves():
-    coalescer = BatchCoalescer(window=60.0)  # park until flushed
+    coalescer = BatchCoalescer()
     solver = ManualSolver()
     try:
         request = coalescer.submit("k", solver, ["a"])
-        # drain flushes the parked batch, but the async solve is still
+        # The request dispatched at once, but the async solve is still
         # pending: a bounded drain reports the leftover truthfully.
         assert coalescer.drain(timeout=0.05) is False
         solver.wait_called(1)
@@ -97,23 +135,55 @@ def test_drain_waits_for_inflight_solves():
 
 
 def test_async_solver_error_fails_every_request():
-    coalescer = BatchCoalescer(window=0.01)
+    coalescer = BatchCoalescer()
     solver = ManualSolver()
     try:
-        futures = [
-            coalescer.submit("k", solver, [f"f{i}"]) for i in range(3)
-        ]
+        futures = [coalescer.submit("k", solver, ["f0"])]
         solver.wait_called(1)
+        futures += [coalescer.submit("k", solver, [f"f{i}"]) for i in (1, 2)]
         solver.calls[0][1].set_exception(ReproError("worker crashed"))
+        # A failed solve releases its key like a successful one.
+        solver.wait_called(2)
+        assert solver.calls[1][0] == ["f1", "f2"]
+        solver.calls[1][1].set_exception(ReproError("worker crashed"))
         for future in futures:
             with pytest.raises(ReproError, match="worker crashed"):
                 future.result(timeout=5.0)
+        # ... so the key does not wedge.
+        later = coalescer.submit("k", solver, ["f3"])
+        solver.wait_called(3)
+        solver.calls[2][1].set_result([3.0])
+        assert later.result(timeout=5.0) == [3.0]
+    finally:
+        coalescer.close(timeout=1.0)
+
+
+def test_raising_solve_releases_key():
+    coalescer = BatchCoalescer()
+    solver = ManualSolver()
+    try:
+        blocker = coalescer.submit("k", solver, ["a"])
+        solver.wait_called(1)
+
+        def refuse(faults):
+            raise ReproError("shard queue refused the batch")
+
+        parked = coalescer.submit("k", refuse, ["b"])
+        solver.calls[0][1].set_result([1.0])
+        assert blocker.result(timeout=5.0) == [1.0]
+        with pytest.raises(ReproError, match="refused"):
+            parked.result(timeout=5.0)
+        # The solve raised before returning a future; the key is free.
+        later = coalescer.submit("k", solver, ["c"])
+        solver.wait_called(2)
+        solver.calls[1][1].set_result([2.0])
+        assert later.result(timeout=5.0) == [2.0]
     finally:
         coalescer.close(timeout=1.0)
 
 
 def test_async_length_mismatch_fails_requests():
-    coalescer = BatchCoalescer(window=0.01)
+    coalescer = BatchCoalescer()
     solver = ManualSolver()
     try:
         request = coalescer.submit("k", solver, ["a", "b"])
@@ -126,15 +196,83 @@ def test_async_length_mismatch_fails_requests():
 
 
 def test_close_resolves_parked_async_batches():
-    coalescer = BatchCoalescer(window=60.0)
+    coalescer = BatchCoalescer()
     solver = ManualSolver()
-    request = coalescer.submit("k", solver, ["a"])
+    inflight = coalescer.submit("k", solver, ["a"])
+    solver.wait_called(1)
+    parked = coalescer.submit("k", solver, ["b"])
     closer = threading.Thread(
         target=coalescer.close, kwargs={"timeout": 5.0}
     )
     closer.start()
-    solver.wait_called(1)
-    solver.calls[0][1].set_result([2.0])
+    # close flushes the parked batch to the solver, then waits for both
+    # async solves.
+    solver.wait_called(2)
+    solver.calls[0][1].set_result([1.0])
+    solver.calls[1][1].set_result([2.0])
     closer.join(timeout=5.0)
     assert not closer.is_alive()
-    assert request.result(timeout=1.0) == [2.0]
+    assert inflight.result(timeout=1.0) == [1.0]
+    assert parked.result(timeout=1.0) == [2.0]
+
+
+def test_group_commit_stress_never_overlaps_a_key():
+    """More submitting threads than cores hammer three keys while the
+    solves resolve on other threads: every request gets its own answer,
+    no key ever has two solves in flight, and nothing is left busy or
+    parked (a lost update to the per-key state would break one of
+    these)."""
+    inflight, overlaps = Counter(), []
+    lock = threading.Lock()
+    resolver = ThreadPoolExecutor(max_workers=4)
+
+    def solver_for(key):
+        def solve(faults):
+            with lock:
+                inflight[key] += 1
+                if inflight[key] > 1:
+                    overlaps.append(key)
+            future = Future()
+
+            def finish():
+                with lock:
+                    inflight[key] -= 1
+                future.set_result([float(f) * 2.0 for f in faults])
+
+            resolver.submit(finish)
+            return future
+
+        return solve
+
+    solvers = {key: solver_for(key) for key in range(3)}
+    coalescer = BatchCoalescer()
+    results = {}
+
+    def client(worker):
+        for index in range(150):
+            value = worker * 1000 + index
+            key = value % 3
+            future = coalescer.submit(key, solvers[key], [value])
+            results[value] = future.result(timeout=10.0)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=client, args=(worker,))
+            for worker in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(switch)
+        coalescer.close(timeout=5.0)
+        resolver.shutdown(wait=True)
+    assert len(results) == 8 * 150
+    assert all(got == [float(v) * 2.0] for v, got in results.items())
+    assert overlaps == []
+    assert coalescer._busy == {} and coalescer._pending == {}
+

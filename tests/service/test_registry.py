@@ -93,12 +93,12 @@ def test_spec_memoized_per_seed(registry):
     assert spec_a.to_dict() != spec_c.to_dict()
 
 
-def test_batch_analysis_memoized_per_seed_and_policy(registry):
+def test_damage_solver_memoized_per_seed_and_policy(registry):
     entry = registry.add_design("TreeFlat")
-    a = registry.batch_analysis(entry.fingerprint, seed=0, policy="max")
-    assert registry.batch_analysis(entry.fingerprint, 0, "max") is a
-    assert registry.batch_analysis(entry.fingerprint, 0, "sum") is not a
-    assert registry.batch_analysis(entry.fingerprint, 1, "max") is not a
+    a = registry.damage_solver(entry.fingerprint, seed=0, policy="max")
+    assert registry.damage_solver(entry.fingerprint, 0, "max") is a
+    assert registry.damage_solver(entry.fingerprint, 0, "sum") is not a
+    assert registry.damage_solver(entry.fingerprint, 1, "max") is not a
 
 
 def test_elaborated_network_matches_builder(registry, tree_decl):

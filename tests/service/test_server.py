@@ -30,7 +30,6 @@ def service(tmp_path_factory):
     svc = AnalysisService(
         cache_dir=str(tmp_path_factory.mktemp("service-cache")),
         workers=2,
-        batch_window=0.05,
     )
     yield svc
     svc.close(drain=False, timeout=10.0)

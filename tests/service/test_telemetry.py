@@ -4,11 +4,12 @@ Covers the ISSUE acceptance criteria: under load ``/metrics/history``
 returns >= 2 samples of ``repro_shard_queue_depth``; a traced ``/damage``
 shows up in ``/logs?trace_id=`` including records shipped home from the
 shard worker's pid; ``POST /profile`` against a shard fingerprint runs
-inside the worker and names a ``batch.py`` frame; campaign job status
+inside the worker and names the worker's damage-solve frame; campaign job status
 carries RSS/CPU resource deltas; and ``/metrics`` stays scrapeable
 concurrently with a running campaign job.
 """
 
+import contextlib
 import threading
 import time
 
@@ -27,7 +28,6 @@ def service():
         no_cache=True,
         workers=1,
         shard_workers=2,
-        batch_window=0.02,
         history_interval=0.05,
         history_window=200,
         tracing=True,
@@ -46,9 +46,8 @@ def faults():
     return list(iter_all_faults(build_design("TreeFlat")))[:16]
 
 
-@pytest.fixture
-def load(client, fingerprint, faults):
-    """Background /damage traffic for the duration of a test."""
+@contextlib.contextmanager
+def _hammer(client, fingerprint, faults):
     stop = threading.Event()
 
     def hammer():
@@ -57,9 +56,28 @@ def load(client, fingerprint, faults):
 
     thread = threading.Thread(target=hammer, daemon=True)
     thread.start()
-    yield
-    stop.set()
-    thread.join(timeout=30.0)
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=30.0)
+
+
+@pytest.fixture
+def load(client, fingerprint, faults):
+    """Background /damage traffic for the duration of a test."""
+    with _hammer(client, fingerprint, faults):
+        yield
+
+
+@pytest.fixture
+def solve_bound_load(client, fingerprint, faults):
+    """/damage traffic whose every request keeps the worker inside its
+    solve for many milliseconds.  A sampling profiler can only preempt
+    pure-Python work (the DP route) at the interpreter's switch
+    interval, so short solves would rarely show up in its stacks."""
+    with _hammer(client, fingerprint, faults * 400):
+        yield
 
 
 def test_traced_damage_appears_in_logs(client, fingerprint, faults):
@@ -125,13 +143,15 @@ def test_history_points_cap(client):
     assert all(len(s["points"]) <= 1 for s in payload["series"])
 
 
-def test_profile_runs_inside_shard_worker(client, fingerprint, load):
+def test_profile_runs_inside_shard_worker(
+    client, fingerprint, solve_bound_load
+):
     profile = client.profile(seconds=0.6, fingerprint=fingerprint)
     assert profile["target"] == "worker"
     assert profile["samples"] > 0
     assert profile["folded"]
-    batch_stacks = [s for s in profile["folded"] if "batch.py" in s]
-    assert batch_stacks, sorted(profile["folded"])[:5]
+    solve_stacks = [s for s in profile["folded"] if "workers.py:_solve" in s]
+    assert solve_stacks, sorted(profile["folded"])[:5]
     assert "frame" in profile["top"]
 
 

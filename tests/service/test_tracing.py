@@ -26,7 +26,6 @@ def service(tmp_path_factory):
     svc = AnalysisService(
         cache_dir=str(tmp_path_factory.mktemp("tracing-cache")),
         workers=2,
-        batch_window=0.02,
         tracing=True,
     )
     yield svc
@@ -111,7 +110,9 @@ class TestConnectedDamageTrace:
         assert "http.request" in names
         assert "service.damage" in names
         assert "coalescer.dispatch" in names
-        assert "batch.sweep" in names  # the kernel itself
+        # The solve itself, routed to the DP (TreeFlat is SP).
+        solves = [e for e in events if e["name"] == "worker.damage"]
+        assert [e["args"]["solver"] for e in solves] == ["dp"]
 
         # Connectivity: exactly one root, every other span's parent is
         # present in the same trace.
