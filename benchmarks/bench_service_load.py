@@ -10,8 +10,8 @@ records what a client actually experiences under that load:
    single diverging float aborts the benchmark before any timing is
    recorded;
 2. **inprocess** — the asyncio front-end with ``shard_workers=0``:
-   coalesced batches solved on the dispatcher thread in the server
-   process;
+   coalesced batches solved on the service's one solve thread in the
+   server process;
 3. **sharded** — the same front-end dispatching coalesced batches to
    worker processes over shared-memory-shipped IR.
 

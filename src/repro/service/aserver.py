@@ -1,10 +1,14 @@
 """The HTTP front-end of the analysis service (stdlib asyncio).
 
-One event loop serves every connection: requests are parsed and
-validated on the loop, CPU-bound work goes through the coalescer — to
-the sharded worker-process pool (:mod:`repro.service.workers`) or, with
-``shard_workers=0``, to a sweep on the coalescer's dispatcher thread —
-and the handler coroutine merely *awaits* the resulting future.  A
+One event loop serves every connection.  A ``/damage`` request stays on
+that one thread from HTTP parse to pipe write and from pipe read to
+response: it is parsed and validated on the loop, parked on the
+coalescer, which dispatches an idle key's batch right there, and the
+handler coroutine *awaits* the resulting future.  With a worker pool
+(:mod:`repro.service.workers`) the server binds the pool's pipe I/O to
+its loop on start, so the batch is written to the shard worker and its
+result read and scattered on the loop too; with ``shard_workers=0`` the
+solve runs on the service's one solve thread, never on the loop.  A
 thousand concurrent requests are a thousand coroutines, not a thousand
 threads.  Blocking service calls that are not future-shaped (uploads
 interning a network, job submission, profiling) run in the loop's
@@ -39,8 +43,10 @@ GET      /dashboard         self-contained live HTML dashboard
 
 Errors are JSON ``{"error", "trace_id"}`` bodies: 404 for unknown
 routes, networks, jobs and traces; 408 for a ``/damage`` query that
-outlives its ``timeout``; 400 for invalid payloads and malformed HTTP
-(the latter also closes the connection); 500 for anything else.
+outlives its ``timeout``; 400 for invalid payloads and malformed HTTP;
+413 for a ``Content-Length`` over ``_MAX_BODY`` (the body is not read);
+500 for anything else.  Malformed HTTP and 413 also close the
+connection.
 
 Use :func:`serve` as the entry point (the CLI's ``serve``), or
 :class:`AsyncServerThread` to host one on a private event-loop thread
@@ -88,12 +94,20 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     408: "Request Timeout",
+    413: "Payload Too Large",
     500: "Internal Server Error",
 }
 
 
 class _BadRequest(ReproError):
-    """Malformed HTTP — answered with 400 and a closed connection."""
+    """Malformed HTTP — answered with ``status`` and a closed
+    connection."""
+
+    status = 400
+
+
+class _PayloadTooLarge(_BadRequest):
+    status = 413
 
 
 async def _readline(reader) -> bytes:
@@ -154,13 +168,18 @@ class AsyncServiceServer:
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
+        self.service.bind_loop(asyncio.get_running_loop())
         return self
 
     async def close(self) -> None:
+        """Stop listening, and hand the worker pool's I/O back to a
+        private thread so it keeps resolving results (a graceful drain
+        still flushes parked batches) once this loop stops."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+            self.service.bind_loop(None)
 
     # -- connection handling ---------------------------------------------
     async def _client(self, reader, writer) -> None:
@@ -170,7 +189,7 @@ class AsyncServiceServer:
                     request = await self._read_request(reader)
                 except _BadRequest as exc:
                     await self._write(
-                        writer, 400, {"error": str(exc)}, None, False
+                        writer, exc.status, {"error": str(exc)}, None, False
                     )
                     return
                 if request is None:
@@ -227,8 +246,12 @@ class AsyncServiceServer:
             length = int(headers.get("content-length") or 0)
         except ValueError:
             raise _BadRequest("non-integer Content-Length") from None
-        if length < 0 or length > _MAX_BODY:
+        if length < 0:
             raise _BadRequest(f"invalid Content-Length {length}")
+        if length > _MAX_BODY:
+            raise _PayloadTooLarge(
+                f"Content-Length {length} exceeds the {_MAX_BODY}-byte limit"
+            )
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, version, headers, body
 
@@ -363,12 +386,11 @@ class AsyncServiceServer:
                     return route, 200, service.cancel_job(job_id)
         if method == "POST" and path == "/damage":
             payload = self._json_body(body)
-            # Validation + coalescer parking happens off-loop (fault
-            # parsing is linear in the request size); the await costs
-            # the coroutine nothing while the shard worker computes.
-            meta, future, timeout = await _off_loop(
-                loop, service.damage_submit, payload
-            )
+            # Validation, parking and dispatch run on the loop: fault
+            # parsing is the same order of work as the json.loads above
+            # and never blocks; the await costs the coroutine nothing
+            # while the solve runs.
+            meta, future, timeout = service.damage_submit(payload)
             damages = await asyncio.wait_for(
                 asyncio.wrap_future(future), timeout=timeout
             )

@@ -11,11 +11,11 @@ end-to-end in ``tests/service``).
 
 Batches form by **group commit**, not by a timer:
 
-* a key with no batch in flight dispatches its request at once — an
-  idle service adds no batching latency at all;
-* requests for a key whose solve is still running park, and dispatch
-  together as the next batch the moment that solve completes (sync or
-  async, success or failure);
+* a key with no batch in flight dispatches its request at once, in the
+  submitting thread — an idle service adds no batching latency at all;
+* requests for a key whose solve is still running park, and go together
+  as the next batch from that solve's done-callback, right after the
+  callback has scattered the finished batch (success or failure);
 * a parked batch that reaches ``max_faults`` lanes dispatches early,
   without waiting for the running solve.
 
@@ -23,21 +23,17 @@ So batch occupancy (requests per dispatch, exposed as a histogram via
 ``on_batch``) follows load by itself: it is 1 while the solver keeps up
 and grows exactly as fast as requests queue behind a running solve.
 
-Dispatch runs on one dedicated thread per coalescer; synchronous solves
-therefore run single-threaded, which is the thread-safety contract of
-the in-process solvers
-(:func:`repro.service.solver.single_fault_solver`).
-
-A ``solve`` callable may also return a :class:`~concurrent.futures.
-Future` of the damages instead of the damages themselves — that is how
-the sharded worker tier plugs in: the dispatcher thread hands the merged
-batch to the shard queue and moves straight on to the next key, so
-batches for different shards solve concurrently while each solver still
-sees in-order batches.  The scatter then runs from the future's
-done-callback, which also releases the key.  :meth:`drain` flushes
-parked batches *and* waits for those in-flight asynchronous solves,
-which is what graceful shutdown calls before tearing the worker pool
-down.
+The coalescer owns no thread.  ``solve`` has one contract: it takes the
+merged fault list and returns a :class:`~concurrent.futures.Future` of
+the damages without blocking — the shard worker tier's
+:meth:`~repro.service.workers.WorkerPool.damage`, or, in-process, a
+submit to the service's single-thread solve executor, which is what
+keeps the (not thread-safe) in-process solvers single-threaded.  So
+under the HTTP front-end a ``/damage`` is parked *and* dispatched on the
+event loop, and batches for different keys solve concurrently while
+each solver still sees in-order batches.  :meth:`drain` flushes parked
+batches and waits for the in-flight solves, which is what graceful
+shutdown calls before tearing the worker pool down.
 """
 
 from __future__ import annotations
@@ -85,31 +81,25 @@ class BatchCoalescer:
         self.max_faults = int(max_faults)
         self._on_batch = on_batch
         self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
         self._pending: Dict[Hashable, _PendingBatch] = {}
         self._busy: Dict[Hashable, int] = {}  # key -> solves in flight
-        self._inflight: set = set()  # Futures of async solves
+        self._inflight: set = set()  # Futures of dispatched solves
         self._closed = False
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop,
-            name="repro-batch-dispatcher",
-            daemon=True,
-        )
-        self._dispatcher.start()
 
     # -- request side ----------------------------------------------------
     def submit(
         self,
         key: Hashable,
-        solve: Callable[[List], Sequence[float]],
+        solve: Callable[[List], "Future[Sequence[float]]"],
         faults: Sequence,
     ) -> "Future[List[float]]":
         """Park ``faults`` on ``key``'s next batch; resolve to the list
-        of damages for exactly these faults, in order.
+        of damages for exactly these faults, in order.  An idle key's
+        batch is dispatched before this returns.
 
         ``solve`` must be the same callable for every request sharing a
-        key (it is the memoized solver's ``damage_vector``); the batch
-        keeps the first one it sees.
+        key (the memoized solver's submit); the batch keeps the first
+        one it sees.
         """
         future: "Future[List[float]]" = Future()
         if not faults:
@@ -126,13 +116,14 @@ class BatchCoalescer:
                 (list(faults), future, current_carrier())
             )
             batch.n_faults += len(faults)
-            if self._ready(key, batch):
-                self._wakeup.notify()
+            ready = self._take_ready(key)
+        if ready is not None:
+            self._dispatch(ready)
         return future
 
     def flush(self) -> None:
-        """Dispatch every pending batch now (synchronously), whether or
-        not its key has a solve in flight."""
+        """Dispatch every pending batch now, whether or not its key has
+        a solve in flight."""
         with self._lock:
             batches = list(self._pending.values())
             self._pending.clear()
@@ -144,9 +135,8 @@ class BatchCoalescer:
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Dispatch every parked batch and wait for in-flight solves.
 
-        Synchronous solves finish inside :meth:`flush`; asynchronous
-        (future-returning) solves are awaited here up to ``timeout``.
-        Returns ``True`` when nothing is left in flight.
+        Waits up to ``timeout``; returns ``True`` when nothing is left
+        in flight.
         """
         self.flush()
         with self._lock:
@@ -157,59 +147,44 @@ class BatchCoalescer:
         return not not_done
 
     def close(self, timeout: Optional[float] = 10.0) -> None:
-        """Stop accepting requests, flush the backlog, join the thread.
+        """Stop accepting requests and flush the backlog.
 
         Parked batches are dispatched, not abandoned — a request
         accepted before close resolves (or fails with its solver's
-        error), never hangs.  ``timeout`` bounds the wait for
-        asynchronous solves already handed to a worker tier.
+        error), never hangs.  ``timeout`` bounds the wait for solves
+        already in flight.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._wakeup.notify()
-        self._dispatcher.join()
         self.drain(timeout=timeout)
 
     # -- dispatch side ---------------------------------------------------
-    def _ready(self, key: Hashable, batch: _PendingBatch) -> bool:
-        """Group commit: a parked batch goes when its key is idle, or
-        early once it holds ``max_faults`` lanes.  Caller holds the
-        lock."""
-        return key not in self._busy or batch.n_faults >= self.max_faults
+    def _take_ready(self, key: Hashable) -> Optional[_PendingBatch]:
+        """Group commit: ``key``'s parked batch goes when the key is
+        idle, or early once it holds ``max_faults`` lanes.  Pops it and
+        marks the key busy.  Caller holds the lock."""
+        batch = self._pending.get(key)
+        if batch is None or (
+            key in self._busy and batch.n_faults < self.max_faults
+        ):
+            return None
+        del self._pending[key]
+        self._acquire(key)
+        return batch
 
     def _acquire(self, key: Hashable) -> None:
         self._busy[key] = self._busy.get(key, 0) + 1
 
-    def _release(self, key: Hashable) -> None:
-        """A solve of ``key`` finished: its parked batch may go now."""
+    def _release(self, key: Hashable) -> Optional[_PendingBatch]:
+        """A solve of ``key`` finished: returns its parked batch if that
+        may go now (already taken and marked busy)."""
         with self._lock:
             count = self._busy.pop(key, 1) - 1
             if count:
                 self._busy[key] = count
-            elif key in self._pending:
-                self._wakeup.notify()
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._lock:
-                while True:
-                    if self._closed:
-                        return
-                    batches = [
-                        batch
-                        for key, batch in self._pending.items()
-                        if self._ready(key, batch)
-                    ]
-                    if batches:
-                        break
-                    self._wakeup.wait()
-                for batch in batches:
-                    del self._pending[batch.key]
-                    self._acquire(batch.key)
-            for batch in batches:
-                self._dispatch(batch)
+            return self._take_ready(key)
 
     def _dispatch(self, batch: _PendingBatch) -> None:
         merged: List = []
@@ -220,10 +195,10 @@ class BatchCoalescer:
                 carrier = request_carrier
         age = time.monotonic() - batch.opened
         try:
-            # The dispatcher thread adopts the first traced request's
-            # context, so the kernel spans of a shared pass land in that
-            # request's trace (a batch serves many traces but the sweep
-            # runs once — it can only hang off one of them).
+            # Adopt the first traced request's context, so the solve's
+            # spans land in that request's trace (a batch serves many
+            # traces but the solve runs once — it can only hang off one
+            # of them).
             with use_carrier(carrier):
                 with span(
                     "coalescer.dispatch",
@@ -231,39 +206,38 @@ class BatchCoalescer:
                     lanes=len(merged),
                     wait_seconds=round(age, 6),
                 ):
-                    damages = batch.solve(merged)
+                    solving = batch.solve(merged)
         except BaseException as exc:
-            self._release(batch.key)
             self._fail(batch, exc)
+            self._dispatch_next(batch.key)
             return
-        if isinstance(damages, Future):
-            # Async solver (the shard worker tier): don't block the
-            # dispatcher — other keys' batches can dispatch to other
-            # shards while this one computes.  The key stays busy, and
-            # the scatter runs, on completion.
-            with self._lock:
-                self._inflight.add(damages)
-            damages.add_done_callback(
-                lambda fut, batch=batch, merged=merged, age=age: (
-                    self._async_done(batch, merged, age, fut)
-                )
+        with self._lock:
+            self._inflight.add(solving)
+        solving.add_done_callback(
+            lambda fut, batch=batch, merged=merged, age=age: (
+                self._solved(batch, merged, age, fut)
             )
-            return
-        self._release(batch.key)
-        self._scatter(batch, merged, damages, age)
+        )
 
-    def _async_done(
+    def _solved(
         self, batch: _PendingBatch, merged: List, age: float, fut: Future
     ) -> None:
+        """Done-callback of a solve: scatter its own batch first, then
+        hand the key's parked batch (if any) to the solver."""
         with self._lock:
             self._inflight.discard(fut)
-        self._release(batch.key)
         try:
             damages = fut.result()
         except BaseException as exc:
             self._fail(batch, exc)
-            return
-        self._scatter(batch, merged, damages, age)
+        else:
+            self._scatter(batch, merged, damages, age)
+        self._dispatch_next(batch.key)
+
+    def _dispatch_next(self, key: Hashable) -> None:
+        parked = self._release(key)
+        if parked is not None:
+            self._dispatch(parked)
 
     def _fail(self, batch: _PendingBatch, exc: BaseException) -> None:
         for _, future, _ in batch.requests:

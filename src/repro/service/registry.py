@@ -198,8 +198,8 @@ class NetworkRegistry:
         """The coalescer's single-fault solver; memoized per
         (fingerprint, seed, policy).
 
-        The solver is not thread-safe — the coalescer guarantees that
-        each instance is only driven from its dispatcher thread.
+        The solver is not thread-safe — the service only drives it from
+        its one solve thread.
         """
         entry = self.get(fingerprint)
         key = (fingerprint, int(seed), str(policy))

@@ -18,11 +18,13 @@ counter.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import os
 import time
-from typing import Dict, Optional, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Dict, Optional, Tuple
 
 from .. import __version__
 from ..analysis.engine import (
@@ -228,10 +230,18 @@ class AnalysisService:
             max_faults=batch_max_faults,
             on_batch=self._batch_event,
         )
-        # The sharded worker-process tier (0 = in-process mode:
-        # every sweep runs under this process's GIL).
+        # One memoized solve callable per (fingerprint, seed, policy).
+        self._solves: Dict[Tuple[str, int, str], Callable] = {}
+        # The sharded worker-process tier (0 = in-process mode: every
+        # solve runs on one service-owned thread, under this process's
+        # GIL but never on the HTTP event loop).
         self.pool: Optional[WorkerPool] = None
-        if shard_workers:
+        self._solve_executor: Optional[ThreadPoolExecutor] = None
+        if not shard_workers:
+            self._solve_executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-solve"
+            )
+        else:
             self._m_shard_depth = m.gauge(
                 "repro_shard_queue_depth",
                 "Requests parked in each shard's work queue.",
@@ -575,42 +585,70 @@ class AnalysisService:
         spec = self.registry.spec(entry.fingerprint, seed=seed)
         self.pool.register_network(entry.ir, spec=spec, seed=seed)
 
-    def _damage_solver(self, entry, seed: int, policy: str):
-        """The coalescer's solve callable for one (network, seed, policy).
+    def _damage_solver(self, entry, seed: int, policy: str) -> Callable:
+        """The coalescer's solve callable for one (network, seed, policy),
+        memoized: it takes the merged faults and returns a Future.
 
-        In-process mode returns the memoized solver's ``damage_vector``
-        (synchronous).  Pool mode returns a closure that enqueues the
-        merged batch on the owning shard and hands the coalescer a
-        Future, so the dispatcher never blocks on a solve.  Both modes
-        route by regime through
+        Pool mode enqueues the merged batch on the owning shard.
+        In-process mode submits the memoized solver's ``damage_vector``
+        to the service's single solve thread — built there on first use
+        too, so no kernel work runs in the submitting thread (the HTTP
+        event loop) and each solver is only ever driven by one thread.
+        Both modes route by regime through
         :func:`repro.service.solver.single_fault_solver`.
         """
-        if self.pool is None:
-            return self.registry.damage_solver(
-                entry.fingerprint, seed=seed, policy=policy
-            ).damage_vector
-        self._pool_register(entry, seed)
+        key = (entry.fingerprint, seed, policy)
+        solve = self._solves.get(key)
+        if solve is not None:
+            return solve
         fingerprint = entry.fingerprint
+        if self.pool is None:
+            registry, executor = self.registry, self._solve_executor
 
-        def solve(merged):
-            return self.pool.damage(
-                fingerprint,
-                merged,
-                seed=seed,
-                policy=policy,
-                carrier=current_carrier(),
-            )
+            def run(merged):
+                return registry.damage_solver(
+                    fingerprint, seed=seed, policy=policy
+                ).damage_vector(merged)
 
-        return solve
+            def solve(merged):
+                # Carry the dispatch span's context onto the solve
+                # thread, so the solver's spans join the request trace.
+                context = contextvars.copy_context()
+                return executor.submit(context.run, run, merged)
+
+        else:
+            self._pool_register(entry, seed)
+            pool = self.pool
+
+            def solve(merged):
+                return pool.damage(
+                    fingerprint,
+                    merged,
+                    seed=seed,
+                    policy=policy,
+                    carrier=current_carrier(),
+                )
+
+        # A racing duplicate is equivalent; setdefault keeps one.
+        return self._solves.setdefault(key, solve)
+
+    def bind_loop(self, loop) -> None:
+        """Run the worker pool's pipe I/O on ``loop`` (the calling
+        thread's running loop), or on a private thread for ``None``.
+        The HTTP front-end binds its loop while it serves."""
+        if self.pool is not None:
+            self.pool.bind_loop(loop)
 
     def damage_submit(self, payload: Dict):
         """Validate and park a damage query on the coalescer.
 
         Returns ``(meta, future, timeout)`` where ``future`` resolves to
-        the damages list; the HTTP front-end awaits it on its event
-        loop.  Every fault is checked against the network's IR here,
-        before any solver sees it, so a fault the network cannot have
-        is a 400 in both service modes.  Concurrent calls targeting the
+        the damages list; the HTTP front-end calls this on its event
+        loop and awaits the future there.  Nothing here blocks: an idle
+        key's batch is handed to its solver before this returns.  Every
+        fault is checked against the network's IR here, before any
+        solver sees it, so a fault the network cannot have is a 400 in
+        both service modes.  Concurrent calls targeting the
         same (fingerprint, seed, policy) group-commit into one solve;
         with a worker pool the solve runs on the shard that owns the
         fingerprint.
@@ -777,5 +815,7 @@ class AnalysisService:
         self.queue.shutdown(drain=drain, timeout=timeout)
         if self.pool is not None:
             self.pool.close()
+        if self._solve_executor is not None:
+            self._solve_executor.shutdown(wait=drain)
         if self.history is not None:
             self.history.stop()

@@ -1,9 +1,9 @@
 """Sharded analysis worker processes: the multi-core service tier.
 
-The coalescer (PR 4) recovers batch shape from concurrency, but every
-batched sweep still executes under the front-end process's GIL.  This
-module moves the CPU-bound work into a persistent pool of worker
-*processes*, sharded by compiled-IR fingerprint:
+The coalescer recovers batch shape from concurrency, but with
+``--workers 0`` every solve still executes under the front-end
+process's GIL.  This module moves the CPU-bound work into a persistent
+pool of worker *processes*, sharded by compiled-IR fingerprint:
 
 * **shard map** — fingerprints hash onto a fixed number of shards;
   shards map onto workers through a consistent-hash ring
@@ -11,21 +11,27 @@ module moves the CPU-bound work into a persistent pool of worker
   worker (cache affinity, no duplicate interning) and a worker's death
   moves only *its* shards, not the whole assignment;
 * **per-shard work queues** — requests park in parent-side FIFO queues,
-  one per shard; a feeder thread per worker drains the shards that
-  worker owns into a small bounded pipe, so a rebalanced shard's backlog
-  follows the shard to its new owner instead of dying with the old one;
+  one per shard; each worker has at most ``_MAX_INFLIGHT`` requests on
+  its pipe, and a result arriving pumps its next one, so a rebalanced
+  shard's backlog follows the shard to its new owner instead of dying
+  with the old one;
+* **one pipe per worker, one I/O loop** — each worker has one duplex
+  pipe; the parent's end is non-blocking and every write, result read
+  and crash detection runs as a callback on one asyncio loop (the HTTP
+  front-end's under ``serve``, a private thread's otherwise), so the
+  pool adds no thread to a serving front-end process;
 * **zero-copy shipping** — a network is shipped to its worker once, as a
   :mod:`repro.ir.shm` shared-memory segment when available (the worker's
   kernel reads the parent's arrays in place) or a pickle otherwise;
-* **crash recovery** — a monitor thread watches worker liveness; a dead
-  worker's in-flight and queued requests are re-dispatched (bounded
-  retries), the worker restarts in place up to ``max_restarts`` times,
-  and beyond that it is removed from the ring so its shards rebalance
-  onto the survivors;
+* **crash recovery** — a dead worker shows up at once as EOF on its
+  pipe or its process sentinel turning readable; its in-flight and
+  queued requests are re-dispatched (bounded retries), the worker
+  restarts in place up to ``max_restarts`` times, and beyond that it is
+  removed from the ring so its shards rebalance onto the survivors;
 * **observability** — requests carry the submitting thread's trace
   carrier across the process boundary; workers record their spans into a
   private collector and ship them home with each result, exactly like
-  the engine's chunk workers (PR 5).
+  the engine's chunk workers.
 
 Results are bit-identical to in-process evaluation: the worker routes
 through the same :func:`repro.service.solver.single_fault_solver`
@@ -37,11 +43,13 @@ comes out of the same operation sequence (asserted end-to-end in
 
 from __future__ import annotations
 
+import asyncio
 import bisect
 import hashlib
 import itertools
 import os
 import pickle
+import struct
 import threading
 import time
 from collections import deque
@@ -62,6 +70,13 @@ __all__ = [
     "WorkerPool",
     "report_payload",
 ]
+
+#: Requests a worker has in flight at most; the rest wait in the shard
+#: FIFOs, so a rebalanced shard's backlog moves with the shard.
+_MAX_INFLIGHT = 8
+#: ``multiprocessing.connection`` frame header: payload length.
+_HEADER = struct.Struct("!i")
+_READ_SIZE = 1 << 18
 
 
 class WorkerCrashError(ReproError):
@@ -98,7 +113,9 @@ class ShardMap:
     ``shard_of`` is a pure stable hash — a fingerprint's shard never
     changes.  ``worker_of`` walks a ring of ``replicas`` virtual points
     per worker, so removing one worker reassigns only the shards that
-    hashed onto its points.
+    hashed onto its points.  Both are memoized: the shard → worker
+    assignment is rebuilt only when a worker joins or leaves the ring,
+    so a lookup on the request path costs no hashing.
     """
 
     def __init__(self, shards: int, replicas: int = 32):
@@ -109,6 +126,9 @@ class ShardMap:
         self._points: List[int] = []  # sorted ring positions
         self._owner: Dict[int, int] = {}  # ring position -> worker id
         self._workers: set = set()
+        self._shard_memo: Dict[str, int] = {}  # fingerprint -> shard
+        self._assignment: Dict[int, int] = {}  # shard -> worker id
+        self._owned: Dict[int, List[int]] = {}  # worker id -> shards
 
     def add_worker(self, worker_id: int) -> None:
         if worker_id in self._workers:
@@ -123,6 +143,7 @@ class ShardMap:
                 continue
             bisect.insort(self._points, point)
             self._owner[point] = worker_id
+        self._reassign()
 
     def remove_worker(self, worker_id: int) -> None:
         if worker_id not in self._workers:
@@ -138,42 +159,60 @@ class ShardMap:
                     and self._points[index] == point
                 ):
                     del self._points[index]
+        self._reassign()
 
-    def workers(self) -> List[int]:
-        return sorted(self._workers)
-
-    def shard_of(self, fingerprint: str) -> int:
-        return _point(f"fp:{fingerprint}") % self.n_shards
-
-    def worker_of(self, shard: int) -> int:
-        if not self._points:
-            raise PoolClosedError("no live workers on the ring")
+    def _walk(self, shard: int) -> int:
+        """The ring walk: the owner of the first point after ``shard``."""
         index = bisect.bisect_right(self._points, _point(f"s{shard}"))
         if index == len(self._points):
             index = 0
         return self._owner[self._points[index]]
 
+    def _reassign(self) -> None:
+        self._assignment = (
+            {shard: self._walk(shard) for shard in range(self.n_shards)}
+            if self._points
+            else {}
+        )
+        self._owned = {}
+        for shard, owner in self._assignment.items():
+            self._owned.setdefault(owner, []).append(shard)
+
+    def workers(self) -> List[int]:
+        return sorted(self._workers)
+
+    def shard_of(self, fingerprint: str) -> int:
+        shard = self._shard_memo.get(fingerprint)
+        if shard is None:
+            shard = _point(f"fp:{fingerprint}") % self.n_shards
+            self._shard_memo[fingerprint] = shard
+        return shard
+
+    def worker_of(self, shard: int) -> int:
+        if not self._assignment:
+            raise PoolClosedError("no live workers on the ring")
+        return self._assignment[shard]
+
     def assignment(self) -> Dict[int, int]:
         """shard id → owning worker id, for every shard."""
-        return {
-            shard: self.worker_of(shard) for shard in range(self.n_shards)
-        }
+        if not self._assignment:
+            raise PoolClosedError("no live workers on the ring")
+        return dict(self._assignment)
 
     def shards_of(self, worker_id: int) -> List[int]:
-        return [
-            shard
-            for shard, owner in self.assignment().items()
-            if owner == worker_id
-        ]
+        return list(self._owned.get(worker_id, ()))
 
 
 # ---------------------------------------------------------------------------
 # worker-process side
 # ---------------------------------------------------------------------------
-def _worker_main(worker_id: int, work_q, result_q) -> None:
+def _worker_main(worker_id: int, conn) -> None:
     """Entry point of one analysis worker process.
 
-    Owns a partition of interned kernels: networks registered to it are
+    ``conn`` is the worker's end of its duplex pipe to the parent:
+    requests arrive on it in order and every reply goes back on it, from
+    the message loop or the profiler thread, under one send lock.  Owns
+    a partition of interned kernels: networks registered to it are
     attached (shared memory) or unpickled once, kernels are memoized per
     ``(fingerprint, seed, policy, chunk_lanes)``, and the dict-graph
     view needed by analyze jobs is rebuilt lazily per fingerprint.
@@ -186,6 +225,11 @@ def _worker_main(worker_id: int, work_q, result_q) -> None:
     from .solver import single_fault_solver
 
     log = get_logger("worker")
+    send_lock = threading.Lock()
+
+    def reply(result) -> None:
+        with send_lock:
+            conn.send(result)
 
     networks: Dict[str, Tuple[object, object]] = {}  # fp -> (ir, shm|None)
     register_errors: Dict[str, str] = {}
@@ -248,7 +292,10 @@ def _worker_main(worker_id: int, work_q, result_q) -> None:
         )
 
     while True:
-        message = work_q.get()
+        try:
+            message = conn.recv()
+        except EOFError:
+            break  # the parent is gone
         kind = message[0]
         if kind == "stop":
             break
@@ -275,7 +322,7 @@ def _worker_main(worker_id: int, work_q, result_q) -> None:
         req_id = message[1]
         try:
             if kind == "ping":
-                result_q.put(
+                reply(
                     (
                         req_id,
                         True,
@@ -305,9 +352,9 @@ def _worker_main(worker_id: int, work_q, result_q) -> None:
                             )
                         payload = profiler.as_dict()
                         payload["worker"] = worker_id
-                        result_q.put((req_id, True, payload, [], []))
+                        reply((req_id, True, payload, [], []))
                     except Exception as exc:  # pragma: no cover
-                        result_q.put(
+                        reply(
                             (
                                 req_id,
                                 False,
@@ -346,7 +393,7 @@ def _worker_main(worker_id: int, work_q, result_q) -> None:
                     return damages
 
                 damages, spans, logs = _run(_solve, carrier)
-                result_q.put((req_id, True, damages, spans, logs))
+                reply((req_id, True, damages, spans, logs))
                 continue
             if kind == "analyze":
                 _, _, fp, seed, params, carrier = message
@@ -377,13 +424,11 @@ def _worker_main(worker_id: int, work_q, result_q) -> None:
                         }
 
                 payload, spans, logs = _run(_analyze, carrier)
-                result_q.put((req_id, True, payload, spans, logs))
+                reply((req_id, True, payload, spans, logs))
                 continue
             raise ReproError(f"unknown worker message {kind!r}")
         except Exception as exc:
-            result_q.put(
-                (req_id, False, f"{type(exc).__name__}: {exc}", [], [])
-            )
+            reply((req_id, False, f"{type(exc).__name__}: {exc}", [], []))
 
     # Orderly detach: kernels hold numpy views into the shared pages, so
     # drop them (and any stragglers the GC owns) before releasing the
@@ -445,15 +490,28 @@ class _ShippedNetwork:
         return self.blob
 
 
-class _WorkerHandle:
-    """One live worker process plus its parent-side plumbing."""
+def _frame(message) -> bytes:
+    """One message in :class:`multiprocessing.connection.Connection`'s
+    wire format (``!i`` length, then the pickle), so the worker reads it
+    with a plain ``Connection.recv()``."""
+    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(len(payload)) + payload
 
-    def __init__(self, worker_id: int, ctx, result_q):
+
+class _WorkerHandle:
+    """One live worker process plus the parent's end of its pipe.
+
+    The parent end is non-blocking and only ever touched from the
+    pool's I/O loop: ``rbuf`` collects partial result frames, ``wbuf``
+    the bytes a full pipe did not take yet.
+    """
+
+    def __init__(self, worker_id: int, ctx):
         self.worker_id = worker_id
-        self.work_q = ctx.Queue(maxsize=8)
+        self.conn, child = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, self.work_q, result_q),
+            args=(worker_id, child),
             name=f"repro-shard-worker-{worker_id}",
             daemon=True,
         )
@@ -462,6 +520,12 @@ class _WorkerHandle:
         self.inflight: Dict[int, _Request] = {}
         self.stopped = False
         self.process.start()
+        # Only the worker holds the child end now, so its death is EOF.
+        child.close()
+        self.fd = self.conn.fileno()
+        os.set_blocking(self.fd, False)
+        self.rbuf = bytearray()
+        self.wbuf = bytearray()
 
     @property
     def pid(self) -> Optional[int]:
@@ -475,8 +539,21 @@ class WorkerPool:
     """Persistent sharded pool of analysis worker processes.
 
     ``submit``-style entry points (:meth:`damage`, :meth:`analyze`,
-    :meth:`ping`) return :class:`concurrent.futures.Future`; parking,
-    shard routing, shipping and crash recovery are internal.
+    :meth:`ping`, :meth:`profile`) return
+    :class:`concurrent.futures.Future` and may be called from any
+    thread; parking, shard routing, shipping and crash recovery are
+    internal.
+
+    Every pipe read and write, result resolution and crash recovery
+    runs as a callback on one asyncio loop — the pool's *I/O loop*.  A
+    new pool runs a private loop thread; :meth:`bind_loop` moves the
+    I/O onto a running loop (the HTTP front-end's), so a ``/damage``
+    submitted there is written to its worker, and its result read and
+    resolved, without leaving that thread.  ``bind_loop(None)`` hands
+    the I/O back to a private thread.  Each worker has at most
+    ``_MAX_INFLIGHT`` requests in flight; the rest wait in the shard
+    FIFOs, so a rebalanced shard's backlog follows the shard to its new
+    owner.
     """
 
     def __init__(
@@ -487,10 +564,13 @@ class WorkerPool:
         start_method: Optional[str] = None,
         max_restarts: int = 3,
         max_redispatch: int = 2,
-        monitor_interval: float = 0.2,
+        monitor_interval: Optional[float] = None,
         on_depth: Optional[Callable[[int, int], None]] = None,
         on_worker_event: Optional[Callable[[int, str], None]] = None,
     ):
+        """``monitor_interval`` is accepted for existing callers and
+        ignored: a worker's death is seen at once, as EOF on its pipe
+        or its process sentinel turning readable."""
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
         self.n_workers = int(workers)
@@ -501,10 +581,9 @@ class WorkerPool:
         self._on_worker_event = on_worker_event
         if start_method is None:
             # forkserver children fork from a clean, single-threaded
-            # server process — no inherited locks from this (very)
-            # threaded parent, and restarts after the first worker are
-            # cheap.  Plain fork of a threaded parent risks a child
-            # deadlocking on a lock some other thread held at fork time.
+            # server process — no inherited locks or pipe ends from this
+            # (threaded) parent, and restarts after the first worker are
+            # cheap.
             methods = multiprocessing.get_all_start_methods()
             start_method = (
                 "forkserver" if "forkserver" in methods else "spawn"
@@ -514,7 +593,6 @@ class WorkerPool:
             shards if shards is not None else 4 * self.n_workers
         )
         self._lock = threading.Lock()
-        self._work_ready = threading.Condition(self._lock)
         self._shard_queues: List[deque] = [
             deque() for _ in range(self.map.n_shards)
         ]
@@ -523,27 +601,114 @@ class WorkerPool:
         self._restarts: Dict[int, int] = {}
         self._req_ids = itertools.count(1)
         self._closed = False
-        self._result_q = self._ctx.Queue()
         for worker_id in range(self.n_workers):
             self.map.add_worker(worker_id)
-            self._handles[worker_id] = _WorkerHandle(
-                worker_id, self._ctx, self._result_q
-            )
+            self._handles[worker_id] = _WorkerHandle(worker_id, self._ctx)
             self._restarts[worker_id] = 0
-        self._feeders: Dict[int, threading.Thread] = {}
-        for worker_id in list(self._handles):
-            self._start_feeder(worker_id)
-        self._collector = threading.Thread(
-            target=self._collect_loop, name="repro-pool-collector", daemon=True
-        )
-        self._collector.start()
-        self._monitor = threading.Thread(
-            target=self._monitor_loop,
-            args=(float(monitor_interval),),
-            name="repro-pool-monitor",
+        # The I/O loop and the ident of the thread running it.  Loop
+        # callbacks check the ident, so one that was queued just before
+        # the I/O moved forwards itself instead of racing the new owner.
+        self._loop, self._loop_tid, self._private = self._private_loop()
+        self._call_on_loop(self._watch_all)
+
+    # -- the I/O loop -------------------------------------------------------
+    @staticmethod
+    def _private_loop():
+        loop = asyncio.new_event_loop()
+        started = threading.Event()
+        thread = threading.Thread(
+            target=_run_loop,
+            args=(loop, started),
+            name="repro-pool-io",
             daemon=True,
         )
-        self._monitor.start()
+        thread.start()
+        started.wait()
+        return loop, thread.ident, thread
+
+    def bind_loop(self, loop: Optional[asyncio.AbstractEventLoop]) -> None:
+        """Move the pool's I/O onto ``loop``, which must be the running
+        loop of the calling thread; ``None`` moves it back onto a new
+        private loop thread.  Requests in flight survive the move: a
+        result the old loop did not read waits in the pipe."""
+        with self._lock:
+            if self._closed or loop is self._loop:
+                return
+        if loop is None:
+            target, tid, private = self._private_loop()
+        else:
+            target, tid, private = loop, threading.get_ident(), None
+        old_loop, old_private = self._loop, self._private
+
+        def hand_over():
+            for handle in self._live_handles():
+                self._unwatch(handle)
+            with self._lock:
+                self._loop, self._loop_tid = target, tid
+                self._private = private
+
+        self._call_on_loop(hand_over)
+        self._call_on_loop(self._watch_all)
+        if old_private is not None:
+            _stop_loop_thread(old_private, old_loop)
+
+    def _on_loop(self) -> bool:
+        return threading.get_ident() == self._loop_tid
+
+    def _call_on_loop(self, fn, *args, timeout: float = 10.0) -> bool:
+        """Run ``fn(*args)`` on the I/O loop and wait for it; ``False``
+        if the loop did not get to it within ``timeout``."""
+        if self._on_loop():
+            fn(*args)
+            return True
+        done = threading.Event()
+
+        def run():
+            if not self._on_loop():  # the I/O moved meanwhile
+                self._call_soon(run)
+                return
+            try:
+                fn(*args)
+            finally:
+                done.set()
+
+        self._call_soon(run)
+        return done.wait(timeout)
+
+    def _call_soon(self, fn, *args) -> None:
+        """Schedule ``fn(*args)`` on the I/O loop from any thread.
+
+        Under the lock, so a move of the I/O cannot slip in between
+        reading the loop and scheduling on it: the callback lands either
+        on the new loop, or on the old one ahead of its stop (and then
+        forwards itself)."""
+        with self._lock:
+            try:
+                self._loop.call_soon_threadsafe(fn, *args)
+            except RuntimeError:
+                pass  # the loop is closed: the pool is shutting down
+
+    def _live_handles(self) -> List[_WorkerHandle]:
+        with self._lock:
+            return [h for h in self._handles.values() if not h.stopped]
+
+    def _watch(self, handle: _WorkerHandle) -> None:
+        self._loop.add_reader(handle.fd, self._on_readable, handle)
+        self._loop.add_reader(
+            handle.process.sentinel, self._on_exit, handle
+        )
+        if handle.wbuf:
+            self._loop.add_writer(handle.fd, self._on_writable, handle)
+
+    def _unwatch(self, handle: _WorkerHandle) -> None:
+        self._loop.remove_reader(handle.fd)
+        self._loop.remove_reader(handle.process.sentinel)
+        self._loop.remove_writer(handle.fd)
+
+    def _watch_all(self) -> None:
+        for handle in self._live_handles():
+            self._watch(handle)
+            self._pump(handle)
 
     # -- registration ----------------------------------------------------
     def register_network(self, ir, spec=None, seed: int = 0) -> None:
@@ -616,26 +781,7 @@ class WorkerPool:
 
     def ping(self, worker_id: int) -> "Future[Dict]":
         """Round-trip liveness probe of one specific worker."""
-        future: Future = Future()
-        req = _Request(
-            next(self._req_ids), -1, None, 0, "ping", (), future
-        )
-        with self._lock:
-            if self._closed:
-                raise PoolClosedError("worker pool is closed")
-            handle = self._handles.get(worker_id)
-            if handle is None:
-                raise ReproError(f"no worker {worker_id}")
-            handle.inflight[req.req_id] = req
-        try:
-            handle.work_q.put(("ping", req.req_id), timeout=5.0)
-        except Exception as exc:  # pragma: no cover - full pipe
-            with self._lock:
-                handle.inflight.pop(req.req_id, None)
-            future.set_exception(
-                WorkerCrashError(f"worker {worker_id} unreachable: {exc}")
-            )
-        return future
+        return self._submit_to(worker_id, None, "ping", ())
 
     def profile(
         self,
@@ -653,47 +799,38 @@ class WorkerPool:
         sampling runs on a worker-side thread while the message loop
         keeps solving, so concurrent load shows up in the stacks.
         """
-        future: Future = Future()
-        with self._lock:
-            if self._closed:
-                raise PoolClosedError("worker pool is closed")
-            if worker_id is None:
-                if fingerprint is None:
-                    raise ReproError(
-                        "profile needs a fingerprint or a worker id"
-                    )
+        if worker_id is None:
+            if fingerprint is None:
+                raise ReproError("profile needs a fingerprint or a worker id")
+            with self._lock:
                 if fingerprint not in self._shipped:
                     raise ReproError(
                         f"network {fingerprint!r} not registered with "
                         "the pool"
                     )
-                worker_id = self.map.worker_of(
-                    self.map.shard_of(fingerprint)
-                )
+                worker_id = self.map.worker_of(self.map.shard_of(fingerprint))
+        return self._submit_to(
+            worker_id,
+            fingerprint,
+            "profile",
+            (float(seconds), float(interval), carrier),
+        )
+
+    def _submit_to(self, worker_id, fingerprint, kind, tail) -> Future:
+        """Send one request to a specific worker, past the shard FIFOs
+        and the in-flight bound; it dies with that worker."""
+        future: Future = Future()
+        with self._lock:
+            if self._closed:
+                raise PoolClosedError("worker pool is closed")
             handle = self._handles.get(worker_id)
             if handle is None:
                 raise ReproError(f"no worker {worker_id}")
             req = _Request(
-                next(self._req_ids), -1, fingerprint, 0, "profile", (), future
+                next(self._req_ids), -1, fingerprint, 0, kind, tail, future
             )
             handle.inflight[req.req_id] = req
-        try:
-            handle.work_q.put(
-                (
-                    "profile",
-                    req.req_id,
-                    float(seconds),
-                    float(interval),
-                    carrier,
-                ),
-                timeout=5.0,
-            )
-        except Exception as exc:  # pragma: no cover - full pipe
-            with self._lock:
-                handle.inflight.pop(req.req_id, None)
-            future.set_exception(
-                WorkerCrashError(f"worker {worker_id} unreachable: {exc}")
-            )
+        self._send_to(handle, [(kind, req.req_id) + tail])
         return future
 
     def _submit(self, kind, fingerprint, seed, tail) -> Future:
@@ -706,6 +843,7 @@ class WorkerPool:
                     f"network {fingerprint!r} not registered with the pool"
                 )
             shard = self.map.shard_of(fingerprint)
+            owner = self._handles.get(self.map.worker_of(shard))
             req = _Request(
                 next(self._req_ids),
                 shard,
@@ -717,21 +855,12 @@ class WorkerPool:
             )
             self._shard_queues[shard].append(req)
             depth = len(self._shard_queues[shard])
-            self._work_ready.notify_all()
         self._report_depth(shard, depth)
+        if owner is not None:
+            self._pump(owner)
         return future
 
-    # -- feeders ----------------------------------------------------------
-    def _start_feeder(self, worker_id: int) -> None:
-        thread = threading.Thread(
-            target=self._feed_loop,
-            args=(worker_id, self._handles[worker_id]),
-            name=f"repro-pool-feeder-{worker_id}",
-            daemon=True,
-        )
-        self._feeders[worker_id] = thread
-        thread.start()
-
+    # -- writing ----------------------------------------------------------
     def _owned_request(self, worker_id: int) -> Optional[_Request]:
         """Pop the next request from a shard owned by ``worker_id``.
 
@@ -740,11 +869,7 @@ class WorkerPool:
         """
         best_shard = None
         best_when = None
-        try:
-            owned = set(self.map.shards_of(worker_id))
-        except PoolClosedError:
-            return None
-        for shard in owned:
+        for shard in self.map.shards_of(worker_id):
             queue = self._shard_queues[shard]
             if queue and (
                 best_when is None or queue[0].submitted < best_when
@@ -757,34 +882,31 @@ class WorkerPool:
         self._report_depth_locked(best_shard)
         return req
 
-    def _feed_loop(self, worker_id: int, handle: _WorkerHandle) -> None:
-        while True:
-            with self._lock:
-                if handle.stopped or self._closed:
-                    return
-                req = self._owned_request(worker_id)
+    def _pump(self, handle: _WorkerHandle) -> None:
+        """Move queued requests of ``handle``'s shards onto its pipe,
+        up to the in-flight bound.  Called off the I/O loop, it
+        reschedules itself there."""
+        if not self._on_loop():
+            self._call_soon(self._pump, handle)
+            return
+        messages: List[Tuple] = []
+        with self._lock:
+            if handle.stopped or self._closed:
+                return
+            while len(handle.inflight) < _MAX_INFLIGHT:
+                req = self._owned_request(handle.worker_id)
                 if req is None:
-                    self._work_ready.wait(timeout=0.5)
-                    continue
-                messages = self._messages_for(handle, req)
+                    break
+                messages.extend(self._messages_for(handle, req))
                 handle.inflight[req.req_id] = req
-            try:
-                for message in messages:
-                    while True:
-                        if handle.stopped:
-                            raise ReproError("worker handle stopped")
-                        try:
-                            handle.work_q.put(message, timeout=0.25)
-                            break
-                        except Exception:
-                            if not handle.alive():
-                                raise ReproError(
-                                    "worker died while feeding"
-                                ) from None
-            except Exception:
-                # The monitor will requeue this request (it is in the
-                # handle's inflight map) when it tears the worker down.
-                continue
+        if messages:
+            self._write(handle, messages)
+
+    def _send_to(self, handle: _WorkerHandle, messages: List[Tuple]) -> None:
+        if not self._on_loop():
+            self._call_soon(self._send_to, handle, messages)
+        elif not handle.stopped:
+            self._write(handle, messages)
 
     def _messages_for(
         self, handle: _WorkerHandle, req: _Request
@@ -819,61 +941,107 @@ class WorkerPool:
         )
         return messages
 
-    # -- results ----------------------------------------------------------
-    def _collect_loop(self) -> None:
-        while True:
-            try:
-                req_id, ok, payload, spans, logs = self._result_q.get(
-                    timeout=0.5
-                )
-            except Exception:
-                with self._lock:
-                    if self._closed:
-                        return
-                continue
-            request = None
-            with self._lock:
-                for handle in self._handles.values():
-                    request = handle.inflight.pop(req_id, None)
-                    if request is not None:
-                        break
-            if request is None:
-                continue  # stale result from a recovered request
-            if spans:
-                collector = current_collector()
-                if collector is not None:
-                    collector.ingest(spans)
-            if logs:
-                buffer = current_log_buffer()
-                if buffer is not None:
-                    buffer.ingest(logs)
-            if request.future.cancelled():
-                continue
-            if ok:
-                request.future.set_result(payload)
-            else:
-                request.future.set_exception(ReproError(str(payload)))
+    def _write(self, handle: _WorkerHandle, messages: List[Tuple]) -> None:
+        """Frame and write ``messages``; whatever a full pipe does not
+        take is buffered and written when the pipe drains — the loop
+        never blocks on a worker."""
+        data = b"".join(_frame(message) for message in messages)
+        if handle.wbuf:
+            handle.wbuf += data
+            return
+        try:
+            sent = os.write(handle.fd, data)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            return  # the worker is dead; EOF / its sentinel recovers it
+        if sent < len(data):
+            handle.wbuf += data[sent:]
+            self._loop.add_writer(handle.fd, self._on_writable, handle)
+
+    def _on_writable(self, handle: _WorkerHandle) -> None:
+        try:
+            sent = os.write(handle.fd, handle.wbuf)
+        except BlockingIOError:
+            return
+        except OSError:
+            sent = len(handle.wbuf)
+        del handle.wbuf[:sent]
+        if not handle.wbuf:
+            self._loop.remove_writer(handle.fd)
+
+    # -- reading ----------------------------------------------------------
+    def _on_readable(self, handle: _WorkerHandle) -> None:
+        if self._read(handle) is False:
+            self._recover_worker(handle.worker_id, handle)
+            return
+        self._pump(handle)
+
+    def _read(self, handle: _WorkerHandle) -> Optional[bool]:
+        """Read once and resolve every complete result frame: ``True``
+        if data came, ``None`` if the pipe was empty, ``False`` on EOF
+        (the worker is gone)."""
+        try:
+            chunk = os.read(handle.fd, _READ_SIZE)
+        except BlockingIOError:
+            return None
+        except OSError:
+            chunk = b""
+        if not chunk:
+            return False
+        buf = handle.rbuf
+        buf += chunk
+        results = []
+        offset = 0
+        while len(buf) - offset >= _HEADER.size:
+            (size,) = _HEADER.unpack_from(buf, offset)
+            end = offset + _HEADER.size + size
+            if len(buf) < end:
+                break
+            results.append(pickle.loads(buf[offset + _HEADER.size : end]))
+            offset = end
+        del buf[:offset]
+        for result in results:
+            self._resolve(handle, *result)
+        return True
+
+    def _resolve(self, handle, req_id, ok, payload, spans, logs) -> None:
+        with self._lock:
+            request = handle.inflight.pop(req_id, None)
+        if request is None:
+            return  # stale result from a recovered request
+        if spans:
+            collector = current_collector()
+            if collector is not None:
+                collector.ingest(spans)
+        if logs:
+            buffer = current_log_buffer()
+            if buffer is not None:
+                buffer.ingest(logs)
+        if request.future.cancelled():
+            return
+        if ok:
+            request.future.set_result(payload)
+        else:
+            request.future.set_exception(ReproError(str(payload)))
 
     # -- crash recovery ---------------------------------------------------
-    def _monitor_loop(self, interval: float) -> None:
-        while True:
-            time.sleep(interval)
-            with self._lock:
-                if self._closed:
-                    return
-                dead = [
-                    (worker_id, handle)
-                    for worker_id, handle in self._handles.items()
-                    if not handle.stopped and not handle.alive()
-                ]
-            for worker_id, handle in dead:
-                self._recover_worker(worker_id, handle)
+    def _on_exit(self, handle: _WorkerHandle) -> None:
+        """The worker process ended: take the results it wrote before
+        dying, then recover."""
+        if handle.stopped:
+            return
+        while self._read(handle):
+            pass
+        self._recover_worker(handle.worker_id, handle)
 
     def _recover_worker(self, worker_id: int, handle: _WorkerHandle) -> None:
-        self._emit_worker(worker_id, "died")
+        if handle.stopped:
+            return  # already recovered
+        self._unwatch(handle)
         with self._lock:
-            if self._handles.get(worker_id) is not handle:
-                return  # already recovered by a concurrent pass
+            if self._closed:
+                return  # close() stops and reaps every worker
             handle.stopped = True
             orphans = list(handle.inflight.values())
             handle.inflight.clear()
@@ -887,7 +1055,7 @@ class WorkerPool:
             self._restarts[worker_id] = restarts
             if restarts <= self.max_restarts:
                 self._handles[worker_id] = _WorkerHandle(
-                    worker_id, self._ctx, self._result_q
+                    worker_id, self._ctx
                 )
                 event = "restarted"
             else:
@@ -898,15 +1066,17 @@ class WorkerPool:
             for req in orphans:
                 req.attempts += 1
                 if req.shard < 0 or req.attempts > self.max_redispatch:
-                    # Pings are worker-addressed, not shard-addressed:
-                    # they die with the worker they probed.
+                    # Pings and profiles are worker-addressed, not
+                    # shard-addressed: they die with their worker.
                     failures.append(req)
                 else:
                     self._shard_queues[req.shard].appendleft(req)
             still_routable = bool(self.map.workers())
-            self._work_ready.notify_all()
+        handle.conn.close()
+        handle.fd = -1
         if event == "restarted":
-            self._start_feeder(worker_id)
+            self._watch(self._handles[worker_id])
+        self._emit_worker(worker_id, "died")
         self._emit_worker(worker_id, event)
         for req in failures:
             if not req.future.cancelled():
@@ -920,6 +1090,8 @@ class WorkerPool:
             self._fail_all_pending(
                 WorkerCrashError("all workers are gone")
             )
+        for survivor in self._live_handles():
+            self._pump(survivor)
 
     def _fail_all_pending(self, exc: Exception) -> None:
         with self._lock:
@@ -998,27 +1170,41 @@ class WorkerPool:
                 pending.extend(queue)
                 queue.clear()
             for handle in handles:
-                handle.stopped = True
                 pending.extend(handle.inflight.values())
                 handle.inflight.clear()
-            self._work_ready.notify_all()
         for req in pending:
             if not req.future.cancelled():
                 req.future.set_exception(
                     PoolClosedError("worker pool is closed")
                 )
+
+        def stop_workers():
+            for handle in handles:
+                if handle.stopped:
+                    continue
+                handle.stopped = True
+                self._unwatch(handle)
+                if handle.wbuf:
+                    # A frame is half-written: no stop message can
+                    # follow it, and the work behind it is failed.
+                    handle.process.kill()
+                else:
+                    self._write(handle, [("stop",)])
+
+        # A loop that is no longer running cannot deliver the stop
+        # message; the workers are then killed below.
+        self._call_on_loop(stop_workers, timeout=min(timeout, 5.0))
         deadline = time.monotonic() + timeout
-        for handle in handles:
-            try:
-                handle.work_q.put_nowait(("stop",))
-            except Exception:
-                pass
         for handle in handles:
             remaining = max(0.0, deadline - time.monotonic())
             handle.process.join(remaining)
             if handle.alive():
                 handle.process.kill()
                 handle.process.join(1.0)
+            handle.conn.close()
+        if self._private is not None:
+            _stop_loop_thread(self._private, self._loop)
+            self._private = None
         with self._lock:
             shipped = list(self._shipped.values())
             self._shipped.clear()
@@ -1043,3 +1229,21 @@ class WorkerPool:
                 self._on_worker_event(worker_id, event)
             except Exception:
                 pass
+
+
+def _run_loop(loop: asyncio.AbstractEventLoop, started) -> None:
+    asyncio.set_event_loop(loop)
+    loop.call_soon(started.set)
+    try:
+        loop.run_forever()
+    finally:
+        loop.close()
+
+
+def _stop_loop_thread(thread: threading.Thread, loop) -> None:
+    try:
+        loop.call_soon_threadsafe(loop.stop)
+    except RuntimeError:
+        pass  # already closed
+    if thread is not threading.current_thread():
+        thread.join(timeout=10.0)

@@ -24,6 +24,7 @@ from repro.service import (
     ServiceClient,
     ServiceClientError,
 )
+from repro.service.aserver import _MAX_BODY
 from repro.spec import spec_for_network
 
 DESIGN_NAMES = (
@@ -171,8 +172,8 @@ class TestWireProtocol:
         trace = client.trace("aserver-test-trace")
         spans = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
         assert spans, "no spans recorded for the trace"
-        # The tree must survive both the run_in_executor hop and the
-        # worker-process boundary, not just record the HTTP root.
+        # The tree must survive the worker-process boundary, not just
+        # record the HTTP root.
         names = {e["name"] for e in spans}
         assert {
             "http.request",
@@ -228,8 +229,15 @@ class TestMalformedRequests:
             b"GET /" + b"a" * (100 * 1024) + b" HTTP/1.1\r\n\r\n",
             b"GET /healthz HTTP/1.1\r\n"
             b"X-Padding: " + b"p" * (100 * 1024) + b"\r\n\r\n",
+            b"POST /damage HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: -5\r\n\r\n",
         ],
-        ids=["non-integer-content-length", "long-request-line", "long-header"],
+        ids=[
+            "non-integer-content-length",
+            "long-request-line",
+            "long-header",
+            "negative-content-length",
+        ],
     )
     def test_malformed_request_is_400(self, stack, request_bytes):
         server = stack["server"]
@@ -238,6 +246,32 @@ class TestMalformedRequests:
         assert head.startswith(b"HTTP/1.1 400 "), head[:80]
         assert b"Connection: close" in head
         assert json.loads(body)["error"]
+        assert ServiceClient(server.url).healthz()["status"] in (
+            "ok",
+            "degraded",
+        )
+
+    def test_oversized_body_is_413_without_reading_it(self, stack):
+        server = stack["server"]
+        head_only = (
+            b"POST /damage HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n" % (_MAX_BODY + 1)
+        )
+        # The body is never sent and the socket stays open for writing:
+        # a server that waited for the body would never answer.
+        address = (server.host, server.port)
+        with socket.create_connection(address, timeout=10.0) as sock:
+            sock.sendall(head_only)
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 Payload Too Large"), head[:80]
+        assert b"Connection: close" in head
+        assert "exceeds" in json.loads(body)["error"]
         assert ServiceClient(server.url).healthz()["status"] in (
             "ok",
             "degraded",

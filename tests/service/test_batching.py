@@ -1,13 +1,15 @@
 """Micro-batching coalescer: group commit, scatter ordering, error fan-out.
 
-Batch formation is driven by solve completion, not by a clock, so these
-tests hold a key busy with a gated solve (a ``threading.Event``) and
-park requests behind it; nothing here depends on timing.
+Batch formation is driven by solve completion, not by a clock.  A solve
+returns a Future; these tests run it on an executor thread (as the
+in-process service does) and hold a key busy with a gated solve (a
+``threading.Event``), parking requests behind it; nothing here depends
+on timing.
 """
 
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
@@ -23,21 +25,40 @@ def _doubler(faults):
     return [float(f) * 2.0 for f in faults]
 
 
-class GatedSolver:
-    """Synchronous doubling solve whose first call blocks on ``gate``;
-    records every batch it sees."""
+@pytest.fixture
+def executor():
+    pool = ThreadPoolExecutor(max_workers=1)
+    yield pool
+    pool.shutdown(wait=True)
 
-    def __init__(self):
+
+def on(executor, fn):
+    """The solve contract: run ``fn`` on ``executor``, return its Future."""
+    return lambda faults: executor.submit(fn, list(faults))
+
+
+class GatedExecutor:
+    """Doubling solve on its own executor threads whose first batch
+    blocks on ``gate``; records every batch handed to it."""
+
+    def __init__(self, fn=_doubler, threads=1):
+        self.fn = fn
         self.calls = []
         self.started = threading.Event()
         self.gate = threading.Event()
+        self._pool = ThreadPoolExecutor(max_workers=threads)
 
     def __call__(self, faults):
         self.calls.append(list(faults))
-        if len(self.calls) == 1:
+        return self._pool.submit(
+            self._run, list(faults), len(self.calls) == 1
+        )
+
+    def _run(self, faults, first):
+        if first:
             self.started.set()
             assert self.gate.wait(timeout=10.0), "gate never opened"
-        return _doubler(faults)
+        return self.fn(faults)
 
     def hold(self, coalescer, key="k"):
         """Occupy ``key`` with an in-flight solve; returns its future."""
@@ -45,33 +66,43 @@ class GatedSolver:
         assert self.started.wait(timeout=5.0), "idle key did not dispatch"
         return future
 
+    def close(self):
+        self.gate.set()
+        self._pool.shutdown(wait=True)
 
-def test_single_request_round_trips():
+
+@pytest.fixture
+def solver():
+    gated = GatedExecutor()
+    yield gated
+    gated.close()
+
+
+def test_single_request_round_trips(executor):
     coalescer = BatchCoalescer()
     try:
-        future = coalescer.submit("k", _doubler, [1, 2, 3])
+        future = coalescer.submit("k", on(executor, _doubler), [1, 2, 3])
         assert future.result(timeout=5.0) == [2.0, 4.0, 6.0]
     finally:
         coalescer.close()
 
 
-def test_empty_fault_list_resolves_immediately():
+def test_empty_fault_list_resolves_immediately(executor):
     coalescer = BatchCoalescer()
     try:
-        future = coalescer.submit("k", _doubler, [])
+        future = coalescer.submit("k", on(executor, _doubler), [])
         assert future.result(timeout=0.1) == []
     finally:
         coalescer.close()
 
 
-def test_idle_key_dispatches_without_waiting():
+def test_idle_key_dispatches_without_waiting(solver):
     batches = []
     coalescer = BatchCoalescer(
         on_batch=lambda occupancy, lanes, age: batches.append(
             (occupancy, lanes)
         )
     )
-    solver = GatedSolver()
     try:
         # No flush, no close, nothing else queued: the solve starts on
         # its own because the key had nothing in flight.
@@ -85,14 +116,13 @@ def test_idle_key_dispatches_without_waiting():
         coalescer.close()
 
 
-def test_concurrent_requests_share_one_solve():
+def test_concurrent_requests_share_one_solve(solver):
     batches = []
     coalescer = BatchCoalescer(
         on_batch=lambda occupancy, lanes, age: batches.append(
             (occupancy, lanes)
         ),
     )
-    solver = GatedSolver()
     try:
         blocker = solver.hold(coalescer)
         futures = [coalescer.submit("k", solver, [i]) for i in range(1, 17)]
@@ -109,9 +139,8 @@ def test_concurrent_requests_share_one_solve():
         coalescer.close()
 
 
-def test_scatter_preserves_per_request_order():
+def test_scatter_preserves_per_request_order(solver):
     coalescer = BatchCoalescer()
-    solver = GatedSolver()
     try:
         solver.hold(coalescer)
         first = coalescer.submit("k", solver, [5, 1])
@@ -127,7 +156,7 @@ def test_scatter_preserves_per_request_order():
         coalescer.close()
 
 
-def test_distinct_keys_do_not_share_batches():
+def test_distinct_keys_do_not_share_batches(executor):
     calls = []
 
     def solve(faults):
@@ -136,8 +165,8 @@ def test_distinct_keys_do_not_share_batches():
 
     coalescer = BatchCoalescer()
     try:
-        a = coalescer.submit("a", solve, [1])
-        b = coalescer.submit("b", solve, [2])
+        a = coalescer.submit("a", on(executor, solve), [1])
+        b = coalescer.submit("b", on(executor, solve), [2])
         a.result(timeout=5.0)
         b.result(timeout=5.0)
         assert sorted(calls) == [[1], [2]]
@@ -181,37 +210,34 @@ def test_max_faults_triggers_early_dispatch():
         coalescer.close(timeout=1.0)
 
 
-def test_solver_exception_fans_out_to_all_futures():
-    gate = threading.Event()
-    started = threading.Event()
-
+def test_solver_exception_fans_out_to_all_futures(executor):
     def explode(faults):
-        started.set()
-        assert gate.wait(timeout=10.0)
         raise RuntimeError("kernel died")
 
+    solver = GatedExecutor(fn=explode)
     coalescer = BatchCoalescer()
     try:
-        futures = [coalescer.submit("k", explode, [0])]
-        assert started.wait(timeout=5.0)
-        futures += [coalescer.submit("k", explode, [i]) for i in (1, 2)]
-        gate.set()
+        futures = [solver.hold(coalescer)]
+        futures += [coalescer.submit("k", solver, [i]) for i in (1, 2)]
+        solver.gate.set()
         for future in futures:
             with pytest.raises(RuntimeError, match="kernel died"):
                 future.result(timeout=5.0)
         # The raising solve released its key: it still serves.
-        assert coalescer.submit("k", _doubler, [3]).result(timeout=5.0) == [
-            6.0
-        ]
+        assert coalescer.submit(
+            "k", on(executor, _doubler), [3]
+        ).result(timeout=5.0) == [6.0]
     finally:
-        gate.set()
+        solver.close()
         coalescer.close()
 
 
-def test_length_mismatch_is_an_error():
+def test_length_mismatch_is_an_error(executor):
     coalescer = BatchCoalescer()
     try:
-        future = coalescer.submit("k", lambda faults: [1.0, 2.0], [7])
+        future = coalescer.submit(
+            "k", on(executor, lambda faults: [1.0, 2.0]), [7]
+        )
         with pytest.raises(ReproError, match="2 damages for 1 faults"):
             future.result(timeout=5.0)
     finally:
@@ -220,24 +246,26 @@ def test_length_mismatch_is_an_error():
 
 def test_flush_dispatches_parked_batch_immediately():
     coalescer = BatchCoalescer()
-    solver = GatedSolver()
+    # Two solve threads: the flushed batch can finish while the first
+    # one is still held at the gate.
+    solver = GatedExecutor(threads=2)
     try:
-        solver.hold(coalescer)
+        blocker = solver.hold(coalescer)
         future = coalescer.submit("k", solver, [4])
-        # flush runs the parked batch on this thread, without waiting
-        # for the key's running solve.
+        assert solver.calls == [[0]]
+        # flush hands the parked batch to the solver now, without
+        # waiting for the key's running solve.
         coalescer.flush()
-        assert future.done()
-        assert future.result() == [8.0]
         assert solver.calls == [[0], [4]]
+        assert future.result(timeout=5.0) == [8.0]
+        assert not blocker.done()
     finally:
-        solver.gate.set()
+        solver.close()
         coalescer.close()
 
 
-def test_close_flushes_backlog_and_rejects_new_requests():
+def test_close_flushes_backlog_and_rejects_new_requests(executor, solver):
     coalescer = BatchCoalescer()
-    solver = GatedSolver()
     blocker = solver.hold(coalescer)
     parked = coalescer.submit("k", solver, [1])
     closer = threading.Thread(target=coalescer.close)
@@ -248,7 +276,7 @@ def test_close_flushes_backlog_and_rejects_new_requests():
     assert blocker.result(timeout=1.0) == [0.0]
     assert parked.result(timeout=1.0) == [2.0]
     with pytest.raises(ReproError, match="closed"):
-        coalescer.submit("k", _doubler, [2])
+        coalescer.submit("k", on(executor, _doubler), [2])
     coalescer.close()  # idempotent
 
 
@@ -257,7 +285,7 @@ def test_rejects_bad_parameters():
         BatchCoalescer(max_faults=0)
 
 
-def test_coalesced_kernel_results_bit_identical_to_direct():
+def test_coalesced_kernel_results_bit_identical_to_direct(executor):
     """The acceptance property at the coalescer level: concurrent
     single-fault submissions against the real bitset kernel resolve to
     exactly the damages the graph analysis computes fault-by-fault."""
@@ -266,6 +294,7 @@ def test_coalesced_kernel_results_bit_identical_to_direct():
     batch = BatchFaultAnalysis(network, spec, policy="max")
     graph = GraphDamageAnalysis(network, spec, policy="max")
     faults = list(iter_all_faults(network))
+    solve = on(executor, batch.damage_vector)
 
     coalescer = BatchCoalescer()
     try:
@@ -274,9 +303,7 @@ def test_coalesced_kernel_results_bit_identical_to_direct():
 
         def query(index, fault):
             barrier.wait(timeout=10.0)
-            future = coalescer.submit(
-                "tree", batch.damage_vector, [fault]
-            )
+            future = coalescer.submit("tree", solve, [fault])
             results[index] = future.result(timeout=10.0)[0]
 
         threads = [

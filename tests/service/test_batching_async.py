@@ -1,8 +1,9 @@
-"""Future-returning solvers in the coalescer (the shard-pool plug-in).
+"""The coalescer's one solve contract: ``solve`` returns a Future.
 
-`BatchCoalescer._dispatch` must not block the dispatcher thread when a
-solver hands back a :class:`~concurrent.futures.Future`: the scatter
-runs from the done-callback, `drain` waits for in-flight solves, and
+The coalescer owns no thread.  `BatchCoalescer.submit` dispatches an
+idle key's batch in the caller and never blocks on the solve: the
+scatter runs from the solve's done-callback, which then hands the key's
+parked batch to the solver; `drain` waits for in-flight solves, and
 `close` still guarantees every accepted request resolves.
 """
 
@@ -70,6 +71,66 @@ def test_scatter_runs_from_done_callback():
         coalescer.close(timeout=1.0)
 
 
+def test_idle_key_dispatches_in_the_submitting_thread():
+    coalescer = BatchCoalescer()
+    threads = []
+
+    def solve(faults):
+        threads.append(threading.get_ident())
+        future = Future()
+        future.set_result([1.0] * len(faults))
+        return future
+
+    try:
+        future = coalescer.submit("k", solve, ["a"])
+        # Handed to the solver before submit returned, on this thread.
+        assert threads == [threading.get_ident()]
+        assert future.result(timeout=0) == [1.0]
+    finally:
+        coalescer.close(timeout=1.0)
+
+
+def test_parked_batch_goes_from_the_completing_callback():
+    """The key's parked batch is dispatched by the done-callback of the
+    solve it waited for — on the thread that resolved that solve — and
+    only after that solve's own requests have resolved."""
+    coalescer = BatchCoalescer()
+    seen, solves, first_batch = [], [], []
+
+    def solve(faults):
+        seen.append(
+            (
+                list(faults),
+                threading.get_ident(),
+                [f.done() for f in first_batch],
+            )
+        )
+        solves.append(Future())
+        return solves[-1]
+
+    try:
+        first_batch.append(coalescer.submit("k", solve, ["a"]))
+        parked = coalescer.submit("k", solve, ["b"])
+        assert [faults for faults, _, _ in seen] == [["a"]]
+        resolver = threading.Thread(
+            target=solves[0].set_result, args=([1.0],)
+        )
+        resolver.start()
+        resolver.join(timeout=5.0)
+        assert len(seen) == 2
+        faults, thread_id, first_done = seen[1]
+        assert faults == ["b"]
+        assert thread_id == resolver.ident
+        assert first_done == [True]
+        assert first_batch[0].result(timeout=0) == [1.0]
+        assert not parked.done()
+    finally:
+        for future in solves:
+            if not future.done():
+                future.set_result([0.0])
+        coalescer.close(timeout=1.0)
+
+
 def test_busy_key_parks_until_solve_completes():
     coalescer = BatchCoalescer()
     solver, probe = ManualSolver(), ManualSolver()
@@ -77,8 +138,8 @@ def test_busy_key_parks_until_solve_completes():
         coalescer.submit("k", solver, ["a"])
         solver.wait_called(1)
         parked = coalescer.submit("k", solver, ["b"])
-        # An idle key submitted later dispatches in the same dispatcher
-        # pass that would have taken "k"'s batch, had it been ready.
+        # An idle key submitted later dispatches at once, while "k"'s
+        # batch stays parked behind its running solve.
         coalescer.submit("probe", probe, ["p"])
         probe.wait_called(1)
         assert len(solver.calls) == 1 and not parked.done()
@@ -96,8 +157,8 @@ def test_busy_key_parks_until_solve_completes():
 
 def test_dispatcher_not_blocked_by_unresolved_future():
     # Two keys, two shards: the second batch must dispatch while the
-    # first one's future is still pending — the old synchronous
-    # dispatcher would have sat in solve() and serialized them.
+    # first one's future is still pending — submit never waits for a
+    # solve, so batches of different keys solve concurrently.
     coalescer = BatchCoalescer()
     slow, fast = ManualSolver(), ManualSolver()
     try:
