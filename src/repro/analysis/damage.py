@@ -27,7 +27,7 @@ same rule and are tested to agree exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from ..ir import SEGMENT as IR_SEGMENT
 from ..ir import intern
 from ..rsn.network import RsnNetwork
 from ..sp.reduce import decompose
-from ..sp.tree import SPKind, SPNode, SPTree
+from ..sp.tree import SPTree
 from .effects import (
     control_cell_break_effect,
     mux_stuck_effect,
@@ -121,6 +121,51 @@ class DamageReport:
         )
 
 
+def partition_primitives(ir, sites: str) -> Tuple[List[str], Set[str]]:
+    """Split the primitives into (evaluated, zero-filled) under a damage
+    site filter (see :meth:`_AnalysisBase.report`)."""
+    if sites not in ("all", "control", "mux"):
+        raise ReproError(f"unknown damage-site filter {sites!r}")
+    evaluated: List[str] = []
+    skipped: Set[str] = set()
+    for node_id, name in enumerate(ir.names):
+        kind = ir.kinds[node_id]
+        if kind == IR_MUX:
+            evaluated.append(name)
+        elif kind == IR_SEGMENT:
+            skip = sites == "mux" or (
+                sites == "control" and ir.roles[node_id] == IR_ROLE_DATA
+            )
+            if skip:
+                skipped.add(name)
+            else:
+                evaluated.append(name)
+    return evaluated, skipped
+
+
+def assemble_report(
+    network: RsnNetwork,
+    policy: str,
+    evaluated: Sequence[str],
+    damages: Sequence[float],
+    skipped: Set[str],
+) -> DamageReport:
+    """The report of ``damages`` (aligned with ``evaluated``), with the
+    ``skipped`` primitives at zero."""
+    by_name = dict(zip(evaluated, damages))
+    primitive_damage: Dict[str, float] = {}
+    for name in intern(network).names:
+        if name in by_name:
+            primitive_damage[name] = by_name[name]
+        elif name in skipped:
+            primitive_damage[name] = 0.0
+    unit_damage = {
+        unit.name: sum(primitive_damage[member] for member in unit.members)
+        for unit in network.units()
+    }
+    return DamageReport(network, policy, primitive_damage, unit_damage)
+
+
 class _AnalysisBase:
     """Shared scaffolding of the two implementations."""
 
@@ -178,6 +223,10 @@ class _AnalysisBase:
             return _aggregate(self.policy, values)
         return 0.0
 
+    def primitive_damages(self, names: Sequence[str]) -> List[float]:
+        """``d_j`` for each named primitive (the engine's chunk query)."""
+        return [self.primitive_damage(name) for name in names]
+
     def report(self, sites: str = "all") -> DamageReport:
         """Per-primitive damage report.
 
@@ -191,34 +240,13 @@ class _AnalysisBase:
         paper's published Max. Damage magnitudes are arithmetically
         consistent (see EXPERIMENTS.md).
         """
-        if sites not in ("all", "control", "mux"):
-            raise ReproError(f"unknown damage-site filter {sites!r}")
-        primitive_damage: Dict[str, float] = {}
-        ir = self.ir
-        for node_id, name in enumerate(ir.names):
-            kind = ir.kinds[node_id]
-            if kind == IR_MUX:
-                primitive_damage[name] = self.primitive_damage(name)
-            elif kind == IR_SEGMENT:
-                skip = (
-                    sites == "mux"
-                    or (
-                        sites == "control"
-                        and ir.roles[node_id] == IR_ROLE_DATA
-                    )
-                )
-                if skip:
-                    primitive_damage[name] = 0.0
-                else:
-                    primitive_damage[name] = self.primitive_damage(name)
-        unit_damage = {
-            unit.name: sum(
-                primitive_damage[member] for member in unit.members
-            )
-            for unit in self.network.units()
-        }
-        return DamageReport(
-            self.network, self.policy, primitive_damage, unit_damage
+        evaluated, skipped = partition_primitives(self.ir, sites)
+        return assemble_report(
+            self.network,
+            self.policy,
+            evaluated,
+            self.primitive_damages(evaluated),
+            skipped,
         )
 
     def damage_of_fault(self, fault: Fault) -> float:
@@ -300,52 +328,57 @@ class FastDamageAnalysis(_AnalysisBase):
     order: a subtree covers a contiguous index range, the innermost
     parallel branch around a leaf is such a range, and the "serially
     before / after within the branch" partition of a break fault is a pair
-    of sub-ranges.  Total preprocessing is O(N); every ``damage_of_fault``
-    is O(1) for breaks and O(branches) for stuck faults.
+    of sub-ranges.  Preprocessing is O(N) numpy over the tree's arrays —
+    weight gather, prefix sums, every leaf's break damage and every mux
+    branch's weight — after which a break is a lookup and a stuck or
+    cell-break fault reads its muxes' branch tables.
     """
 
     def __init__(self, network, spec, tree=None, policy="max"):
         super().__init__(network, spec, tree=tree, policy=policy)
-        if self.tree.is_virtualized:
+        tree = self.tree
+        if tree.is_virtualized:
             raise ReproError(
                 "the aggregate analysis cannot run on a virtualized "
                 "(duplicated-leaf) tree — use "
                 "repro.analysis.GraphDamageAnalysis for non-SP networks"
             )
-        self.tree.annotate_ranges()
-        leaves = self.tree.leaves
-        count = len(leaves)
-        do_w = np.zeros(count)
-        ds_w = np.zeros(count)
-        ir = self.ir
-        for index, leaf in enumerate(leaves):
-            if leaf.kind is not SPKind.LEAF:
-                continue
-            node_id = ir.id_of(leaf.primitive)
-            instrument = ir.instrument_of[node_id]
-            if ir.kinds[node_id] == IR_SEGMENT and instrument is not None:
-                do_w[index], ds_w[index] = spec.weight(instrument)
-        self._do = do_w
-        self._ds = ds_w
-        self._prefix_do = np.concatenate(([0.0], np.cumsum(do_w)))
-        self._prefix_ds = np.concatenate(([0.0], np.cumsum(ds_w)))
-        self._branch_lo = np.zeros(count, dtype=np.int64)
-        self._branch_hi = np.zeros(count, dtype=np.int64)
-        self._fill_branch_ranges()
+        do_id, ds_id = self.ir.weight_vectors(spec)
+        # a wire leaf (node -1) gathers the zero appended at the end
+        do_w = np.append(do_id, 0.0)[tree.leaf_node]
+        ds_w = np.append(ds_id, 0.0)[tree.leaf_node]
+        prefix_do = np.concatenate(([0.0], np.cumsum(do_w)))
+        prefix_ds = np.concatenate(([0.0], np.cumsum(ds_w)))
+        branch_lo, branch_hi = tree.leaf_branch_ranges()
+        index = np.arange(len(do_w))
+        # Break damage of every leaf: its own weight, the observability
+        # serially before it and the settability after it in its branch.
+        self._break_vector = (
+            (do_w + ds_w)
+            + (prefix_do[index] - prefix_do[branch_lo])
+            + (prefix_ds[branch_hi + 1] - prefix_ds[index + 1])
+        )
+        self._break = self._break_vector.tolist()
+        entry_lo, entry_hi = tree.branch_lo, tree.branch_hi
+        self._entry_weight = (
+            (prefix_do[entry_hi + 1] - prefix_do[entry_lo])
+            + (prefix_ds[entry_hi + 1] - prefix_ds[entry_lo])
+        ).tolist()
+        self._own = (do_w + ds_w).tolist()
+        self._prefix_do = prefix_do.tolist()
+        self._prefix_ds = prefix_ds.tolist()
+        self._branch_lo = branch_lo.tolist()
+        self._branch_hi = branch_hi.tolist()
+        self._serial = tree.serial_index
         self._stuck_cache: Dict[int, Dict[int, float]] = {}
-        # Memoization shared across faults: the same range sums, dead
-        # intervals and per-cell stuck assignments recur for every fault
-        # of a mux (and for every mux under a cell), so each is computed
-        # once.  All keys are compiled-IR node ids (cheaper to hash than
-        # the name strings the pre-IR implementation keyed on).
-        # ``memo_counters`` feeds the engine's --stats output.
-        self._range_do_memo: Dict[Tuple[int, int], float] = {}
-        self._range_ds_memo: Dict[Tuple[int, int], float] = {}
+        # Memoization shared across faults: the same dead intervals and
+        # per-cell stuck assignments recur for every fault of a mux (and
+        # for every mux under a cell), so each is computed once.  Keys are
+        # compiled-IR node ids; ``memo_counters`` feeds the engine's
+        # --stats output.
         self._dead_memo: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         self._cell_ports_memo: Dict[int, Dict[str, int]] = {}
         self.memo_counters: Dict[str, int] = {
-            "range_hits": 0,
-            "range_misses": 0,
             "stuck_hits": 0,
             "stuck_misses": 0,
             "dead_hits": 0,
@@ -354,60 +387,42 @@ class FastDamageAnalysis(_AnalysisBase):
             "cell_ports_misses": 0,
         }
 
-    def _fill_branch_ranges(self) -> None:
-        root = self.tree.root
-        stack: List[Tuple[SPNode, int, int]] = [(root, root.lo, root.hi)]
-        while stack:
-            node, lo, hi = stack.pop()
-            if node.is_leaf:
-                self._branch_lo[node.lo] = lo
-                self._branch_hi[node.lo] = hi
-                continue
-            if node.kind is SPKind.SERIES:
-                stack.append((node.left, lo, hi))
-                stack.append((node.right, lo, hi))
-            else:  # PARALLEL: each child opens its own branch
-                stack.append((node.left, node.left.lo, node.left.hi))
-                stack.append((node.right, node.right.lo, node.right.hi))
+    def _leaf(self, name: str) -> int:
+        """Serial index of a primitive's leaf."""
+        index = int(self._serial[self.ir.id_of(name)])
+        if index < 0:
+            raise ReproError(
+                f"primitive {name!r} has no decomposition-tree leaf"
+            )
+        return index
+
+    def _entries(self, mux: str) -> range:
+        """Branch-table entries of a mux leaf."""
+        indptr = self.tree.branch_indptr
+        index = self._leaf(mux)
+        entries = range(indptr[index], indptr[index + 1])
+        if not entries:
+            raise ReproError(f"{mux!r} is not a mux leaf in the tree")
+        return entries
+
+    def _entry_ports(self, entry: int) -> List[int]:
+        tree = self.tree
+        return tree.ports[
+            tree.port_indptr[entry] : tree.port_indptr[entry + 1]
+        ].tolist()
 
     # -- range helpers ----------------------------------------------------
     def _range_do(self, lo: int, hi: int) -> float:
         if lo > hi:
             return 0.0
-        value = self._range_do_memo.get((lo, hi))
-        if value is None:
-            self.memo_counters["range_misses"] += 1
-            value = float(self._prefix_do[hi + 1] - self._prefix_do[lo])
-            self._range_do_memo[(lo, hi)] = value
-        else:
-            self.memo_counters["range_hits"] += 1
-        return value
+        return self._prefix_do[hi + 1] - self._prefix_do[lo]
 
     def _range_ds(self, lo: int, hi: int) -> float:
         if lo > hi:
             return 0.0
-        value = self._range_ds_memo.get((lo, hi))
-        if value is None:
-            self.memo_counters["range_misses"] += 1
-            value = float(self._prefix_ds[hi + 1] - self._prefix_ds[lo])
-            self._range_ds_memo[(lo, hi)] = value
-        else:
-            self.memo_counters["range_hits"] += 1
-        return value
-
-    def _range_both(self, lo: int, hi: int) -> float:
-        return self._range_do(lo, hi) + self._range_ds(lo, hi)
+        return self._prefix_ds[hi + 1] - self._prefix_ds[lo]
 
     # -- fault damages ------------------------------------------------------
-    def _break_damage(self, index: int) -> float:
-        lo = int(self._branch_lo[index])
-        hi = int(self._branch_hi[index])
-        return (
-            float(self._do[index] + self._ds[index])
-            + self._range_do(lo, index - 1)
-            + self._range_ds(index + 1, hi)
-        )
-
     def _stuck_damages(self, mux: str) -> Dict[int, float]:
         mux_id = self.ir.id_of(mux)
         cached = self._stuck_cache.get(mux_id)
@@ -415,19 +430,13 @@ class FastDamageAnalysis(_AnalysisBase):
             self.memo_counters["stuck_hits"] += 1
             return cached
         self.memo_counters["stuck_misses"] += 1
-        leaf = self.tree.leaf(mux)
-        if leaf.mux_branches is None:
-            raise ReproError(f"{mux!r} is not a mux leaf in the tree")
-        weights = []
-        port_to_entry: Dict[int, int] = {}
-        for entry_index, (ports, subtree) in enumerate(leaf.mux_branches):
-            weights.append(self._range_both(subtree.lo, subtree.hi))
-            for port in ports:
-                port_to_entry[port] = entry_index
+        entries = self._entries(mux)
+        weights = [self._entry_weight[entry] for entry in entries]
         total = float(sum(weights))
         damages = {
-            port: total - weights[entry]
-            for port, entry in port_to_entry.items()
+            port: total - weight
+            for entry, weight in zip(entries, weights)
+            for port in self._entry_ports(entry)
         }
         self._stuck_cache[mux_id] = damages
         return damages
@@ -439,11 +448,13 @@ class FastDamageAnalysis(_AnalysisBase):
         whose branch is ``[lo, hi]``: the interval's full weight minus what
         the break already charged — settability inside the after-part,
         observability inside the before-part, both for the cell itself."""
-        extra = self._range_both(dead_lo, dead_hi)
+        extra = self._range_do(dead_lo, dead_hi) + self._range_ds(
+            dead_lo, dead_hi
+        )
         extra -= self._range_ds(max(dead_lo, index + 1), min(dead_hi, hi))
         extra -= self._range_do(max(dead_lo, lo), min(dead_hi, index - 1))
         if dead_lo <= index <= dead_hi:
-            extra -= float(self._do[index] + self._ds[index])
+            extra -= self._own[index]
         return extra
 
     def _dead_intervals(self, mux: str, port: int) -> List[Tuple[int, int]]:
@@ -453,11 +464,12 @@ class FastDamageAnalysis(_AnalysisBase):
             self.memo_counters["dead_hits"] += 1
             return cached
         self.memo_counters["dead_misses"] += 1
-        leaf = self.tree.leaf(mux)
+        tree = self.tree
         intervals = [
-            (subtree.lo, subtree.hi)
-            for ports, subtree in leaf.mux_branches
-            if port not in ports and subtree.lo <= subtree.hi
+            (int(tree.branch_lo[entry]), int(tree.branch_hi[entry]))
+            for entry in self._entries(mux)
+            if port not in self._entry_ports(entry)
+            and tree.branch_lo[entry] <= tree.branch_hi[entry]
         ]
         self._dead_memo[key] = intervals
         return intervals
@@ -469,10 +481,9 @@ class FastDamageAnalysis(_AnalysisBase):
             self.memo_counters["cell_ports_hits"] += 1
             return cached
         self.memo_counters["cell_ports_misses"] += 1
-        leaf = self.tree.leaf(cell)
-        index = self.tree.leaf_index(leaf)
-        lo = int(self._branch_lo[index])
-        hi = int(self._branch_hi[index])
+        index = self._leaf(cell)
+        lo = self._branch_lo[index]
+        hi = self._branch_hi[index]
         ports: Dict[str, int] = {}
         for mux in self.muxes_of_cell(cell):
             best_port = 0
@@ -490,11 +501,10 @@ class FastDamageAnalysis(_AnalysisBase):
         return ports
 
     def _cell_break_damage(self, cell: str) -> float:
-        leaf = self.tree.leaf(cell)
-        index = self.tree.leaf_index(leaf)
-        damage = self._break_damage(index)
-        lo = int(self._branch_lo[index])
-        hi = int(self._branch_hi[index])
+        index = self._leaf(cell)
+        damage = self._break[index]
+        lo = self._branch_lo[index]
+        hi = self._branch_hi[index]
 
         # Dead-branch intervals of every controlled mux at its worst
         # marginal stuck value, deduplicated to maximal intervals (subtree
@@ -508,8 +518,7 @@ class FastDamageAnalysis(_AnalysisBase):
 
     def damage_of_fault(self, fault: Fault) -> float:
         if isinstance(fault, SegmentBreak):
-            leaf = self.tree.leaf(fault.segment)
-            return self._break_damage(self.tree.leaf_index(leaf))
+            return self._break[self._leaf(fault.segment)]
         if isinstance(fault, MuxStuck):
             damages = self._stuck_damages(fault.mux)
             try:
@@ -521,6 +530,27 @@ class FastDamageAnalysis(_AnalysisBase):
         if isinstance(fault, ControlCellBreak):
             return self._cell_break_damage(fault.cell)
         raise ReproError(f"unknown fault {fault!r}")
+
+    def primitive_damages(self, names: Sequence[str]) -> List[float]:
+        """``d_j`` of each named primitive: data segments straight from
+        the break vector, cells and muxes through their branch tables."""
+        ir = self.ir
+        ids = np.array([ir.id_of(name) for name in names], dtype=np.int64)
+        if not len(ids):
+            return []
+        kinds = np.frombuffer(ir.kinds, dtype=np.uint8)[ids]
+        data = (kinds == IR_SEGMENT) & (
+            np.frombuffer(ir.roles, dtype=np.int8)[ids] == IR_ROLE_DATA
+        )
+        slots = self._serial[ids[data]]
+        for position in np.flatnonzero(data)[slots < 0].tolist():
+            self._leaf(names[position])  # raises: no leaf
+        damages = np.zeros(len(ids))
+        damages[data] = self._break_vector[slots]
+        result = damages.tolist()
+        for position in np.flatnonzero(~data).tolist():
+            result[position] = self.primitive_damage(names[position])
+        return result
 
     def damage_vector(self, faults: Sequence[Fault]) -> np.ndarray:
         """Eq. 1 damage of every fault in ``faults``, evaluated

@@ -24,7 +24,7 @@
   outcome, memoization counters, worker utilization) for ``--stats``
   output and benchmark capture.
 
-The in-memory memoization of range queries and dead intervals lives in
+The in-memory memoization of stuck tables and dead intervals lives in
 :class:`repro.analysis.damage.FastDamageAnalysis` itself; the engine only
 surfaces its counters.
 """
@@ -55,12 +55,16 @@ from ..obs.trace import (
     use_carrier,
 )
 from ..ir import MUX as IR_MUX
-from ..ir import ROLE_DATA as IR_ROLE_DATA
-from ..ir import SEGMENT as IR_SEGMENT
-from ..ir import LANE_BITS, CompiledNetwork, fingerprint_payload, intern
+from ..ir import LANE_BITS, CompiledNetwork, intern
 from ..rsn.network import RsnNetwork
 from ..sp.tree import SPTree
-from .damage import DamageReport, ExplicitDamageAnalysis, FastDamageAnalysis
+from .damage import (
+    DamageReport,
+    ExplicitDamageAnalysis,
+    FastDamageAnalysis,
+    assemble_report,
+    partition_primitives,
+)
 
 #: Bump whenever the damage semantics change, so stale disk-cache entries
 #: can never be served for a new algorithm version.  "3": the reachability
@@ -92,16 +96,6 @@ def default_cache_dir() -> str:
 # ---------------------------------------------------------------------------
 # content fingerprint
 # ---------------------------------------------------------------------------
-def network_fingerprint_payload(network: RsnNetwork) -> Dict:
-    """A canonical, JSON-stable description of the network structure.
-
-    Delegates to :func:`repro.ir.fingerprint_payload`, the IR's canonical
-    form: node insertion order and per-node predecessor order (mux ports)
-    are part of the structure and serialized verbatim.
-    """
-    return fingerprint_payload(network)
-
-
 def analysis_fingerprint(
     network: RsnNetwork,
     spec,
@@ -379,12 +373,6 @@ def _batch_counters(analysis) -> Dict[str, int]:
     return getattr(analysis, "batch_counters", None) or {}
 
 
-def _chunk_damages(analysis, names: List[str]) -> List[float]:
-    if hasattr(analysis, "primitive_damages"):
-        return analysis.primitive_damages(names)
-    return [analysis.primitive_damage(name) for name in names]
-
-
 def _worker_chunk(
     names: List[str],
     carrier: Optional[Dict[str, str]] = None,
@@ -410,10 +398,10 @@ def _worker_chunk(
         local = SpanCollector()
         with collecting(local), use_carrier(carrier):
             with span("engine.worker_chunk", primitives=len(names)):
-                damages = _chunk_damages(analysis, names)
+                damages = analysis.primitive_damages(names)
         spans = [record.as_dict() for record in local.spans()]
     else:
-        damages = _chunk_damages(analysis, names)
+        damages = analysis.primitive_damages(names)
     counters = {
         key: value - before.get(key, 0)
         for key, value in _batch_counters(analysis).items()
@@ -576,7 +564,7 @@ class CriticalityEngine:
                 return report
             stats.cache = "miss"
 
-        evaluated, skipped = self._partition_primitives(sites)
+        evaluated, skipped = partition_primitives(intern(self.network), sites)
         stats.primitives_evaluated = len(evaluated)
         stats.faults_evaluated = self._count_faults(evaluated)
 
@@ -605,21 +593,8 @@ class CriticalityEngine:
                 "chunks", 0
             )
 
-        primitive_damage: Dict[str, float] = {}
-        by_name = dict(zip(evaluated, damages))
-        for node in self.network.nodes():
-            if node.name in by_name:
-                primitive_damage[node.name] = by_name[node.name]
-            elif node.name in skipped:
-                primitive_damage[node.name] = 0.0
-        unit_damage = {
-            unit.name: sum(
-                primitive_damage[member] for member in unit.members
-            )
-            for unit in self.network.units()
-        }
-        report = DamageReport(
-            self.network, self.policy, primitive_damage, unit_damage
+        report = assemble_report(
+            self.network, self.policy, evaluated, damages, skipped
         )
         if key is not None:
             with span("engine.cache_store", key=key[:16]):
@@ -631,24 +606,6 @@ class CriticalityEngine:
         return report
 
     # -- partitioning ----------------------------------------------------
-    def _partition_primitives(self, sites: str):
-        """Split primitives into (evaluated, zero-filled) per the site
-        filter, mirroring ``_AnalysisBase.report`` exactly."""
-        ir = intern(self.network)
-        evaluated: List[str] = []
-        skipped: List[str] = []
-        for node_id, name in enumerate(ir.names):
-            kind = ir.kinds[node_id]
-            if kind == IR_MUX:
-                evaluated.append(name)
-            elif kind == IR_SEGMENT:
-                skip = sites == "mux" or (
-                    sites == "control"
-                    and ir.roles[node_id] == IR_ROLE_DATA
-                )
-                (skipped if skip else evaluated).append(name)
-        return evaluated, set(skipped)
-
     def _count_faults(self, names: List[str]) -> int:
         ir = intern(self.network)
         count = 0
@@ -675,10 +632,7 @@ class CriticalityEngine:
         return self._analysis
 
     def _serial_damages(self, names: List[str]) -> List[float]:
-        analysis = self._build_analysis()
-        if hasattr(analysis, "primitive_damages"):
-            return analysis.primitive_damages(names)
-        return [analysis.primitive_damage(name) for name in names]
+        return self._build_analysis().primitive_damages(names)
 
     # -- population queries ----------------------------------------------
     def population_analysis(self):

@@ -47,7 +47,6 @@ import numpy as np
 from ..errors import ReproError
 from ..ir import LANE_BITS as IR_LANE_BITS
 from ..ir import MUX as IR_MUX
-from ..ir import ROLE_DATA as IR_ROLE_DATA
 from ..ir import SEGMENT as IR_SEGMENT
 from ..rsn.network import RsnNetwork
 from ..rsn.primitives import NodeKind
@@ -363,49 +362,7 @@ class GraphDamageAnalysis(_AnalysisBase):
         one lane-packed pass under the bitset backend."""
         if self._batch is not None:
             return self._batch.primitive_damages(names)
-        return [self.primitive_damage(name) for name in names]
-
-    def report(self, sites: str = "all") -> DamageReport:
-        if self._batch is None:
-            return super().report(sites=sites)
-        # Batched evaluation: one damage_vector pass over the whole fault
-        # universe instead of a scalar query per primitive.
-        if sites not in ("all", "control", "mux"):
-            raise ReproError(f"unknown damage-site filter {sites!r}")
-        ir = self.ir
-        evaluated: List[str] = []
-        skipped: Set[str] = set()
-        for node_id, name in enumerate(ir.names):
-            kind = ir.kinds[node_id]
-            if kind == IR_MUX:
-                evaluated.append(name)
-            elif kind == IR_SEGMENT:
-                skip = sites == "mux" or (
-                    sites == "control"
-                    and ir.roles[node_id] == IR_ROLE_DATA
-                )
-                if skip:
-                    skipped.add(name)
-                else:
-                    evaluated.append(name)
-        by_name = dict(
-            zip(evaluated, self._batch.primitive_damages(evaluated))
-        )
-        primitive_damage: Dict[str, float] = {}
-        for name in ir.names:
-            if name in by_name:
-                primitive_damage[name] = by_name[name]
-            elif name in skipped:
-                primitive_damage[name] = 0.0
-        unit_damage = {
-            unit.name: sum(
-                primitive_damage[member] for member in unit.members
-            )
-            for unit in self.network.units()
-        }
-        return DamageReport(
-            self.network, self.policy, primitive_damage, unit_damage
-        )
+        return super().primitive_damages(names)
 
     @property
     def batch_counters(self) -> Dict[str, int]:

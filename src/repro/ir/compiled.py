@@ -4,8 +4,8 @@
 dense integer node ids and CSR adjacency arrays.  The dict-of-lists,
 string-keyed graph stays the construction / validation API; everything
 that walks the graph per fault or per scan cycle — the reachability BFS
-of :class:`repro.analysis.GraphDamageAnalysis`, the memoized range
-queries of :class:`repro.analysis.FastDamageAnalysis`, the active-path
+of :class:`repro.analysis.GraphDamageAnalysis`, the series-parallel
+decomposition of :func:`repro.sp.decompose`, the active-path
 walk of :class:`repro.sim.ScanSimulator`, the dominator computation of
 :mod:`repro.graph.dominators` and the worker dispatch of
 :class:`repro.analysis.CriticalityEngine` — executes on this one
@@ -507,12 +507,9 @@ def intern(network: RsnNetwork) -> CompiledNetwork:
     """
     compiled = _INTERNED.get(network)
     if compiled is not None:
-        edge_count = sum(
-            len(network.successors(name)) for name in network.node_names()
-        )
         if (
             compiled.n_nodes == len(network)
-            and compiled.n_edges == edge_count
+            and compiled.n_edges == network.n_edges()
         ):
             return compiled
     compiled = compile_network(network)

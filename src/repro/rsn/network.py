@@ -166,6 +166,9 @@ class RsnNetwork:
     def predecessors(self, name: str) -> Tuple[str, ...]:
         return tuple(self._pred[name])
 
+    def n_edges(self) -> int:
+        return sum(map(len, self._succ.values()))
+
     def edges(self) -> Iterator[Tuple[str, str]]:
         for src, dsts in self._succ.items():
             for dst in dsts:

@@ -564,13 +564,11 @@ class WorkerPool:
         start_method: Optional[str] = None,
         max_restarts: int = 3,
         max_redispatch: int = 2,
-        monitor_interval: Optional[float] = None,
         on_depth: Optional[Callable[[int, int], None]] = None,
         on_worker_event: Optional[Callable[[int, str], None]] = None,
     ):
-        """``monitor_interval`` is accepted for existing callers and
-        ignored: a worker's death is seen at once, as EOF on its pipe
-        or its process sentinel turning readable."""
+        """A worker's death is seen at once, as EOF on its pipe or its
+        process sentinel turning readable — no polling monitor."""
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
         self.n_workers = int(workers)
@@ -728,18 +726,6 @@ class WorkerPool:
                     )
                 self._shipped[ir.fingerprint] = shipped
             if spec is not None and int(seed) not in shipped.specs:
-                shipped.specs[int(seed)] = pickle.dumps(
-                    spec, protocol=pickle.HIGHEST_PROTOCOL
-                )
-
-    def ensure_spec(self, fingerprint: str, seed: int, spec) -> None:
-        with self._lock:
-            shipped = self._shipped.get(fingerprint)
-            if shipped is None:
-                raise ReproError(
-                    f"network {fingerprint!r} not registered with the pool"
-                )
-            if int(seed) not in shipped.specs:
                 shipped.specs[int(seed)] = pickle.dumps(
                     spec, protocol=pickle.HIGHEST_PROTOCOL
                 )

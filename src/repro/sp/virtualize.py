@@ -6,66 +6,22 @@ another branch mid-way — Wheatstone-bridge shapes) block the reduction.
 Following the idea of hierarchical re-representation in [19], the reducer
 can then *virtually duplicate* the offending stem structure: the reduced
 subtree feeding a blocked fan-out vertex is copied into each outgoing
-branch, with copied leaves renamed and recorded in an alias map.  Only the
-analysis sees the copies; the physical network never changes.
+branch, with copied leaves renamed and recorded in an alias map (see
+``_Reducer._duplicate`` in :mod:`repro.sp.reduce`).  Only the analysis
+sees the copies; the physical network never changes.
 
 Fault semantics over copies: a defect in a physical primitive manifests in
 *all* of its virtual copies at once, so a fault's effect set is the union
-of the per-copy effects (implemented by :mod:`repro.analysis.effects`).
-The O(N) aggregate analysis would over-count weights shared between
-copies, so virtualized trees are analyzed with the explicit per-fault
-implementation.
+of the per-copy effects.  The O(N) aggregate analysis would over-count
+weights shared between copies, so virtualized trees are structural only:
+damage on non-SP networks comes from graph reachability
+(:class:`repro.analysis.GraphDamageAnalysis`).
 """
 
 from __future__ import annotations
-
-from typing import Dict, Tuple
-
-from .tree import SPKind, SPNode
 
 VIRTUAL_SEPARATOR = "~v"
 
 
 def virtual_name(primitive: str, counter: int) -> str:
     return f"{primitive}{VIRTUAL_SEPARATOR}{counter}"
-
-
-def copy_tree(
-    root: SPNode,
-    counter_start: int,
-    canonical_of: Dict[str, str],
-) -> Tuple[SPNode, Dict[str, str], int]:
-    """Deep-copy a decomposition subtree with renamed leaves.
-
-    Returns ``(copy, new_aliases, next_counter)``; ``new_aliases`` maps
-    every copied leaf name to its *physical* primitive (resolving chains
-    of copies through ``canonical_of``).
-    """
-    mapping: Dict[int, SPNode] = {}
-    aliases: Dict[str, str] = {}
-    counter = counter_start
-    for node in root.post_order():
-        if node.kind is SPKind.WIRE:
-            clone = SPNode.wire()
-        elif node.kind is SPKind.LEAF:
-            physical = canonical_of.get(node.primitive, node.primitive)
-            renamed = virtual_name(physical, counter)
-            counter += 1
-            clone = SPNode.leaf(renamed)
-            aliases[renamed] = physical
-        else:
-            clone = SPNode(
-                node.kind,
-                left=mapping[id(node.left)],
-                right=mapping[id(node.right)],
-            )
-        mapping[id(node)] = clone
-
-    # Re-link mux branch annotations inside the copy.
-    for node in root.post_order():
-        if node.kind is SPKind.LEAF and node.mux_branches is not None:
-            mapping[id(node)].mux_branches = [
-                (ports, mapping[id(subtree)])
-                for ports, subtree in node.mux_branches
-            ]
-    return mapping[id(root)], aliases, counter

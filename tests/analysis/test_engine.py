@@ -326,8 +326,8 @@ class TestStats:
         assert stats.elapsed_seconds > 0
         assert stats.faults_per_second > 0
         assert stats.cache == "disabled"
-        # the memoization layer saw repeated range/dead-interval queries
-        assert stats.memo["range_misses"] > 0
+        # the memoization layer saw repeated dead-interval queries
+        assert stats.memo["dead_misses"] > 0
         assert stats.memo_hit_rate > 0
         assert "faults/s" in stats.format()
 

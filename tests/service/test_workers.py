@@ -182,7 +182,6 @@ class TestCrashRecovery:
         pool = WorkerPool(
             workers=2,
             shards=8,
-            monitor_interval=0.05,
             on_worker_event=lambda wid, event: events.append((wid, event)),
         )
         try:
@@ -220,7 +219,6 @@ class TestCrashRecovery:
             workers=2,
             shards=8,
             max_restarts=0,
-            monitor_interval=0.05,
             on_worker_event=lambda wid, event: events.append((wid, event)),
         )
         try:
