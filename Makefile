@@ -7,7 +7,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast bench bench-ir bench-batch bench-ea bench-service bench-campaigns bench-telemetry bench-diff baseline lint table1 sweeps examples serve-smoke clean
+.PHONY: install test test-fast bench bench-ea bench-service bench-campaigns bench-telemetry bench-diff lint table1 sweeps examples serve-smoke clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -20,15 +20,6 @@ test-fast:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-baseline:
-	$(PYTHON) benchmarks/bench_analysis_scaling.py --output results/BENCH_criticality.json
-
-bench-ir:
-	$(PYTHON) benchmarks/bench_analysis_scaling.py --ir --output results/BENCH_ir.json
-
-bench-batch:
-	$(PYTHON) benchmarks/bench_analysis_scaling.py --batch --output results/BENCH_batch.json
 
 bench-ea:
 	$(PYTHON) benchmarks/bench_ea_population.py --output results/BENCH_ea.json --lowering-output results/BENCH_ea_lowering.json
@@ -43,7 +34,7 @@ bench-telemetry:
 	$(PYTHON) benchmarks/bench_telemetry.py --output results/BENCH_telemetry.json
 
 bench-diff:
-	$(PYTHON) -m repro.cli bench-diff results/BENCH_criticality.json results/BENCH_batch.json results/BENCH_ea.json results/BENCH_ea_lowering.json results/BENCH_service.json results/BENCH_campaigns.json results/BENCH_telemetry.json --tolerance 0.2
+	$(PYTHON) -m repro.cli bench-diff results/BENCH_ea.json results/BENCH_ea_lowering.json results/BENCH_service.json results/BENCH_campaigns.json results/BENCH_telemetry.json --tolerance 0.2
 
 lint:
 	ruff check src tests benchmarks examples

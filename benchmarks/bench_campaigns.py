@@ -212,7 +212,7 @@ def write_campaign_baseline(
     designs = []
     for n_segments, n_muxes in sizes:
         network, spec = _build(n_segments, n_muxes)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         _check_mc_parity(analysis)
 
         plan = MonteCarloPlan(
@@ -314,7 +314,7 @@ def write_campaign_baseline(
 def test_campaign_parity():
     """The parity gates of the baseline writer, standalone."""
     network, spec = _build(*SIZES[0])
-    analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+    analysis = GraphDamageAnalysis(network, spec)
     _check_mc_parity(analysis)
     matrix = effect_signature_matrix(analysis)
     _time_diagnosis(analysis, matrix, 32, NOISE)
@@ -324,7 +324,7 @@ def test_campaign_parity():
 def test_campaign_throughput(benchmark, kind):
     """One reduced campaign of each kind on the small design."""
     network, spec = _build(*SIZES[0])
-    analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+    analysis = GraphDamageAnalysis(network, spec)
     if kind == "montecarlo":
         plan = MonteCarloPlan(
             rates=(0.001, 0.01), samples=128, seed=0, bootstrap=0

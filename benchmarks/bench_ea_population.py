@@ -2,14 +2,15 @@
 
 The fault-set hardening objective scores a genome by the joint damage of
 every un-hardened candidate faulting simultaneously — one reachability
-state per genome.  Under the bitset backend a whole population becomes
-one lane-packed sweep (64 genomes per uint64 word); under the scalar
-backends every state costs its own 4-BFS pass.  This benchmark records
-that gap at population scale:
+state per genome.  Batched, a whole population becomes one lane-packed
+sweep (64 genomes per uint64 word); unbatched, every genome costs its
+own ``damage_of_faults`` call.  This benchmark records that gap at
+population scale:
 
-1. **parity first** — a short SPEA-2 run through the bitset-backed and
-   the IR-backed :class:`FaultSetHardeningProblem` must produce
-   bit-identical Pareto fronts, and the timed population's batched
+1. **parity first** — a short SPEA-2 run through the vectorized and the
+   per-genome tuple (``lowering="scalar"``) lowering of
+   :class:`FaultSetHardeningProblem` must produce bit-identical Pareto
+   fronts, and the timed population's batched
    objective matrix must equal the per-genome scalar one exactly,
    before any timing is recorded;
 2. **cold evaluation** — one batched ``evaluate()`` of a fresh random
@@ -64,11 +65,12 @@ def _build(n_segments, n_muxes):
     return network, spec_for_network(network, seed=0)
 
 
-def _problem(network, spec, backend, **kwargs):
-    """A fresh fault-set problem whose state sweeps run on ``backend``."""
-    analysis = GraphDamageAnalysis(network, spec, backend=backend)
+def _problem(network, spec, lowering="vectorized", **kwargs):
+    """A fresh fault-set problem lowering genomes by ``lowering``."""
+    analysis = GraphDamageAnalysis(network, spec)
     return FaultSetHardeningProblem(
-        network, analysis.report(), GateCountCost(), analysis, **kwargs
+        network, analysis.report(), GateCountCost(), analysis,
+        lowering=lowering, **kwargs,
     )
 
 
@@ -95,33 +97,35 @@ class _PerGenomeScalarProblem(FaultSetHardeningProblem):
 
 
 def _scalar_problem(network, spec):
-    analysis = GraphDamageAnalysis(network, spec, backend="ir")
+    analysis = GraphDamageAnalysis(network, spec)
     return _PerGenomeScalarProblem(
         network, analysis.report(), GateCountCost(), analysis
     )
 
 
 def _check_parity(network, spec):
-    """Identical short SPEA-2 runs through both backends.
+    """Identical short SPEA-2 runs through both lowerings.
 
     Same problem, same seed, same operators — the only difference is
-    whether the state sweep goes through the lane-packed kernel or the
-    per-state IR walk.  Any divergence aborts the benchmark.
+    whether genomes lower to packed lane masks in whole blocks or to
+    one state tuple each.  Any divergence aborts the benchmark.
     """
     fronts = []
-    for backend in ("bitset", "ir"):
-        problem = _problem(network, spec, backend)
+    for lowering in ("vectorized", "scalar"):
+        problem = _problem(network, spec, lowering)
         result = SPEA2(
             problem,
             population_size=_PARITY_POPULATION,
             seed=0,
         ).run(_PARITY_GENERATIONS)
         fronts.append(result.front())
-    (bitset_genomes, bitset_objs), (ir_genomes, ir_objs) = fronts
-    if not np.array_equal(bitset_genomes, ir_genomes):
-        raise SystemExit("bitset-vs-ir Pareto front genome mismatch")
-    if not np.array_equal(bitset_objs, ir_objs):
-        raise SystemExit("bitset-vs-ir Pareto front objective mismatch")
+    (vec_genomes, vec_objs), (tuple_genomes, tuple_objs) = fronts
+    if not np.array_equal(vec_genomes, tuple_genomes):
+        raise SystemExit("vectorized-vs-scalar Pareto front genome mismatch")
+    if not np.array_equal(vec_objs, tuple_objs):
+        raise SystemExit(
+            "vectorized-vs-scalar Pareto front objective mismatch"
+        )
 
 
 def _time_cold_evaluate(problem, population):
@@ -172,8 +176,8 @@ def _record_streaming(
     block).  Then the ``full_population`` cold sweep is timed under the
     default budget — the population the unchunked path could not
     materialize."""
-    streamed = _problem(network, spec, "bitset")
-    unchunked = _problem(network, spec, "bitset", max_lane_mb=None)
+    streamed = _problem(network, spec)
+    unchunked = _problem(network, spec, max_lane_mb=None)
     genomes = init_population(
         np.random.default_rng(1), parity_population, streamed.n_vars
     )
@@ -189,7 +193,7 @@ def _record_streaming(
             f"{parity_population}"
         )
 
-    big = _problem(network, spec, "bitset")
+    big = _problem(network, spec)
     big_genomes = init_population(
         np.random.default_rng(2), full_population, big.n_vars
     )
@@ -250,7 +254,7 @@ def write_ea_baseline(
         _check_parity(network, spec)
 
         batched_seconds, batched_objs = _time_cold_evaluate(
-            _problem(network, spec, "bitset"), population
+            _problem(network, spec), population
         )
         scalar_seconds, scalar_objs = _time_cold_evaluate(
             _scalar_problem(network, spec), population
@@ -266,7 +270,7 @@ def write_ea_baseline(
         lowering = {}
         for lowering_population in lowering_populations:
             lowering[lowering_population] = _time_lowering(
-                _problem(network, spec, "bitset"), lowering_population
+                _problem(network, spec), lowering_population
             )
             vec, state_of = lowering[lowering_population]
             lowering_rows.append(
@@ -282,7 +286,7 @@ def write_ea_baseline(
             )
 
         batched_generation = _time_generations(
-            _problem(network, spec, "bitset"),
+            _problem(network, spec),
             population,
             batched_generations,
         )
@@ -365,9 +369,9 @@ def write_ea_baseline(
             "lane-packed bitset kernel (one fault-set lane per unique "
             "genome, 64 per uint64 word) vs. the pre-batching scalar "
             "path (one damage_of_faults(residual_faults(genome)) call "
-            "per genome through the IR backend).  Parity is checked "
-            "first: a short SPEA-2 run through the bitset- and IR-backed "
-            "state sweeps must produce bit-identical Pareto fronts, and "
+            "per genome).  Parity is checked first: a short SPEA-2 run "
+            "through the vectorized and the per-genome tuple lowering "
+            "must produce bit-identical Pareto fronts, and "
             "the timed population's batched objective matrix must equal "
             "the per-genome scalar one exactly.  eval = one cold "
             "evaluation of a fresh random population; generation = "
@@ -420,23 +424,23 @@ def write_ea_baseline(
 # ---------------------------------------------------------------------------
 # pytest entry points (benchmarks/ is also a pytest-benchmark suite)
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["bitset", "ir"])
-def test_population_evaluate(benchmark, backend):
-    """One cold 256-genome sweep on the small design, both backends."""
+@pytest.mark.parametrize("lowering", ["vectorized", "scalar"])
+def test_population_evaluate(benchmark, lowering):
+    """One cold 256-genome sweep on the small design, both lowerings."""
     network, spec = _build(*SIZES[0])
-    problem = _problem(network, spec, backend)
+    problem = _problem(network, spec, lowering)
     genomes = init_population(
         np.random.default_rng(0), 256, problem.n_vars
     )
 
     objectives = benchmark.pedantic(
-        lambda: _problem(network, spec, backend).evaluate(genomes),
+        lambda: _problem(network, spec, lowering).evaluate(genomes),
         rounds=1,
         iterations=1,
     )
     assert objectives.shape == (256, 2)
     benchmark.extra_info.update(
-        {"backend": backend, "population": 256}
+        {"lowering": lowering, "population": 256}
     )
 
 

@@ -201,9 +201,7 @@ def bench_design(name, requests, concurrency, workers, shards):
     faults = list(iter_all_faults(network))
     direct = [
         float(d)
-        for d in GraphDamageAnalysis(
-            network, spec, backend="bitset"
-        ).damage_vector(faults)
+        for d in GraphDamageAnalysis(network, spec).damage_vector(faults)
     ]
     n_segments, n_muxes = _counts(network)
     row = {
@@ -314,9 +312,7 @@ def test_service_damage_load(benchmark, flavor):
     faults = list(iter_all_faults(network))
     direct = [
         float(d)
-        for d in GraphDamageAnalysis(
-            network, spec, backend="bitset"
-        ).damage_vector(faults)
+        for d in GraphDamageAnalysis(network, spec).damage_vector(faults)
     ]
     stack = _Stack(flavor, workers=2, shards=8)
     try:

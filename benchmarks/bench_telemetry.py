@@ -4,7 +4,7 @@ The live telemetry tier (metrics-history sampler, structured logging,
 lane-byte accounting) instruments the hot batch path; its contract is
 that the instrumentation is cheap enough to leave on in production.
 This benchmark records both sides of that contract on the bitset batch
-sweep — the same workload as ``BENCH_batch.json``:
+sweep — every fault of a generated MBIST design in one pass:
 
 1. **disabled** — no history sampler running, logging unconfigured
    (the library default: ``logger.debug`` is a couple of attribute
@@ -42,8 +42,8 @@ from repro.rsn.ast import elaborate
 from repro.rsn.primitives import NodeKind
 from repro.spec import spec_for_network
 
-#: The MBIST designs of the telemetry baseline (matches BENCH_batch's
-#: small and medium rows — big enough that a sweep outlasts several
+#: The MBIST designs of the telemetry baseline (small and medium
+#: generated designs — big enough that a sweep outlasts several
 #: sampler ticks, small enough for a CI gate), each with the per-row
 #: overhead tolerance the bench-diff gate enforces.  The ~100 ms
 #: 1091-segment sweep is the real 5% gate; the ~25 ms 113-segment row
@@ -73,7 +73,7 @@ def _all_faults(network):
 
 
 def _sweep_seconds(network, spec, faults) -> float:
-    analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+    analysis = GraphDamageAnalysis(network, spec)
     started = time.perf_counter()
     analysis.damage_vector(faults)
     return time.perf_counter() - started
@@ -178,14 +178,12 @@ def test_telemetry_overhead_small():
     """Enabled-path sweep stays parity-correct and the sampler ticks."""
     network, spec = _build(*SIZES[0][:2])
     faults = _all_faults(network)
-    analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+    analysis = GraphDamageAnalysis(network, spec)
     baseline = analysis.damage_vector(faults)
     history = MetricsHistory(interval=0.01, window=16).start()
     try:
         with capturing(LogBuffer()):
-            instrumented = GraphDamageAnalysis(
-                network, spec, backend="bitset"
-            ).damage_vector(faults)
+            instrumented = GraphDamageAnalysis(network, spec).damage_vector(faults)
     finally:
         history.stop()
     assert list(instrumented) == list(baseline)

@@ -20,7 +20,7 @@ import time
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.analysis import GraphDamageAnalysis  # noqa: E402
+from repro.analysis import GraphDamageAnalysis, analyze_damage  # noqa: E402
 from repro.analysis.faults import iter_all_faults  # noqa: E402
 from repro.bench import build_design  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
@@ -74,16 +74,12 @@ def smoke(label, extra_args) -> None:
         fingerprint = entry["fingerprint"]
         print(f"uploaded TreeFlat: {fingerprint[:16]}...")
 
-        record = client.analyze(
-            fingerprint, method="graph", backend="bitset", seed=0
-        )
+        record = client.analyze(fingerprint, seed=0)
         via_http = record["result"]["report"]
 
         network = build_design("TreeFlat")
         spec = spec_for_network(network, seed=0)
-        direct = GraphDamageAnalysis(
-            network, spec, policy="max", backend="bitset"
-        ).report()
+        direct = analyze_damage(network, spec)
         assert via_http["primitive_damage"] == direct.primitive_damage, (
             "HTTP analyze diverged from direct analysis"
         )

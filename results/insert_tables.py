@@ -41,7 +41,7 @@ def main() -> int:
             render_tables.RESULTS / "rows_faultset.json",
             render_tables.RESULTS / "rows_linear01.json",
             "Fault-set objective vs same-budget linear fronts, 21 designs "
-            "(`--objective fault-set --backend bitset`, budgets ×0.1)",
+            "(`--objective fault-set`, budgets ×0.1)",
         )
     tables = buffer.getvalue().strip()
 

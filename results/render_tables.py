@@ -63,8 +63,8 @@ def render_faultset(path, linear_path, title):
     """Fault-set objective rows side by side with the linear fronts.
 
     The linear reference is the same-budget `rows_linear01.json` sweep
-    when present (fair comparison: identical generations, backend and
-    seed), falling back to the full-budget `rows_full.json` rows.
+    when present (fair comparison: identical generations and seed),
+    falling back to the full-budget `rows_full.json` rows.
     Constraint percentages are relative to each objective's own maximum
     — the joint max damage is not the linear sum.
     """
@@ -136,5 +136,5 @@ if __name__ == "__main__":
         RESULTS / "rows_faultset.json",
         RESULTS / "rows_linear01.json",
         "Fault-set objective vs same-budget linear fronts, 21 designs "
-        "(`--objective fault-set --backend bitset`, budgets ×0.1)",
+        "(`--objective fault-set`, budgets ×0.1)",
     )

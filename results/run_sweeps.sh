@@ -10,16 +10,17 @@ python -m repro.cli table1 --designs $LARGE --scale-generations 0.1 --json resul
 echo "LARGE DONE"
 # Fault-set objective sweep: every EA evaluation is a joint-damage
 # lane sweep, so the generation budget is scaled down uniformly (0.1);
-# the bitset backend + vectorized lowering + default 64 MB streaming
-# budget carry the EA.  The linear run repeats the same budgets/
-# backend/seed so the fronts compare fairly (rendered side by side by
+# the bitset kernel + vectorized lowering + default 64 MB streaming
+# budget carry the EA.  The linear run repeats the same budgets/seed
+# so the fronts compare fairly (rendered side by side by
 # render_tables.py).  The >= 750k-segment giants and the 8,102-mux
-# MBIST_55_20_5 are excluded: the full bitset criticality pass that
-# seeds the candidates is quadratic (n_faults x n_nodes) and needs
-# multi-hour runs on a single core — ROADMAP item 3's memory/
-# compute-bounded sweep is the fix.
+# MBIST_55_20_5 are excluded: when these rows were recorded, the
+# criticality pass that seeds the candidates ran on the bitset kernel,
+# quadratic (n_faults x n_nodes), and needed multi-hour runs on a
+# single core.  It now runs on the O(N) DP (SP designs); the
+# exclusion has not been re-measured.
 FAULTSET="$SMALL MBIST_2_20_20 MBIST_5_20_20 MBIST_20_20_20 MBIST_100_20_5 MBIST_5_100_20"
-python -m repro.cli table1 --designs $FAULTSET --backend bitset --scale-generations 0.1 --json results/rows_linear01.json --compare > results/table1_linear01.log 2>&1
+python -m repro.cli table1 --designs $FAULTSET --scale-generations 0.1 --json results/rows_linear01.json --compare > results/table1_linear01.log 2>&1
 echo "LINEAR01 DONE"
-python -m repro.cli table1 --designs $FAULTSET --objective fault-set --backend bitset --scale-generations 0.1 --json results/rows_faultset.json --compare --stats > results/table1_faultset.log 2>&1
+python -m repro.cli table1 --designs $FAULTSET --objective fault-set --scale-generations 0.1 --json results/rows_faultset.json --compare --stats > results/table1_faultset.log 2>&1
 echo "FAULTSET DONE"

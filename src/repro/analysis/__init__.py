@@ -31,11 +31,8 @@ from .engine import (
     analyze_damage_cached,
     default_cache_dir,
 )
-from .graph_analysis import (
-    GraphDamageAnalysis,
-    analyze_damage_graph,
-    expected_damage_under_rate,
-)
+from .graph_analysis import GraphDamageAnalysis, expected_damage_under_rate
+from .route import route_analysis
 from .structure import hierarchy_depth, kill_sizes, network_statistics
 from .faults import (
     ControlCellBreak,
@@ -72,7 +69,6 @@ __all__ = [
     "analysis_fingerprint",
     "analyze_damage",
     "analyze_damage_cached",
-    "analyze_damage_graph",
     "control_cell_break_effect",
     "controlled_muxes",
     "default_cache_dir",
@@ -88,6 +84,7 @@ __all__ = [
     "mux_stuck_effect",
     "network_statistics",
     "observability_tree",
+    "route_analysis",
     "segment_break_effect",
     "settability_tree",
     "sib_stuck_asserted",

@@ -1,10 +1,10 @@
 """Bit-parallel batched fault analysis: 64 fault lanes per machine word.
 
 The exact criticality analysis (Eq. 1) needs the damage of *every* scan
-primitive, i.e. one observability/settability analysis per fault.  The
-per-fault graph backend (:class:`repro.analysis.GraphDamageAnalysis`)
-spends four Python-level BFS walks on each — O(|faults| * |E|) with
-interpreter overhead on every edge.  This module applies classic bitset
+primitive, i.e. one observability/settability analysis per fault.  A
+per-fault graph search spends four Python-level BFS walks on each —
+O(|faults| * |E|) with interpreter overhead on every edge.  This module
+applies classic bitset
 dataflow instead: many independent fault instances are packed into the
 bits of ``uint64`` words ("lanes"), and reachability for *all* of them is
 computed in a handful of vectorized sweeps over the compiled IR.
@@ -66,8 +66,9 @@ stuck-respecting path; observable is the mirror image (exactly
 weighted popcount: unpack the per-primitive accessibility bits and take
 a (blocked) dot product with the id-aligned weight vectors.  With the
 paper's integer damage weights every sum is exact in float64, so the
-batch results are bit-identical to the scalar backends (property-tested
-in ``tests/analysis/test_batch.py``).
+batch results are bit-identical to the per-fault searches
+(property-tested in ``tests/analysis/test_batch.py`` against the
+test-only oracles of ``tests/analysis/_reference_reach.py``).
 
 A :class:`ControlCellBreak` is the *union* of its component effect sets
 (the cell's own break plus one worst-marginal stuck state per controlled
@@ -180,9 +181,9 @@ class PackedStates:
 class BatchFaultAnalysis:
     """Lane-packed damage analysis over one network's compiled IR.
 
-    Matches :class:`GraphDamageAnalysis` fault-for-fault (same optimistic
-    select-independence, same broken-control-cell rule) and is its
-    ``backend="bitset"`` engine.
+    The engine of :class:`GraphDamageAnalysis` (same optimistic
+    select-independence, same broken-control-cell rule as the tree
+    analyses).
     """
 
     def __init__(

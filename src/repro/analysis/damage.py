@@ -1,13 +1,15 @@
 """Criticality analysis: per-primitive damage ``d_j`` (Eq. 1, Sec. IV).
 
-Two interchangeable implementations are provided:
+Two implementations over the decomposition tree are provided:
 
-* :class:`ExplicitDamageAnalysis` — evaluates every concrete fault with the
-  per-fault effect sets of :mod:`repro.analysis.effects`; O(N) per fault,
-  O(N^2) per network.  The readable reference implementation.
 * :class:`FastDamageAnalysis` — one O(N) pass using serial prefix sums over
   the decomposition tree (the hierarchical computation of Sec. IV-C that
-  makes the approach scale to million-bit MBIST networks).
+  makes the approach scale to million-bit MBIST networks); the ``dp``
+  route of :func:`repro.analysis.route_analysis`.
+* :class:`ExplicitDamageAnalysis` — evaluates every concrete fault with the
+  per-fault effect sets of :mod:`repro.analysis.effects`; O(N) per fault,
+  O(N^2) per network.  The readable, independent reference the tests
+  compare the routes against; no entry point selects it.
 
 Both assign each primitive ``j`` a damage value
 
@@ -334,6 +336,8 @@ class FastDamageAnalysis(_AnalysisBase):
     cell-break fault reads its muxes' branch tables.
     """
 
+    route = "dp"
+
     def __init__(self, network, spec, tree=None, policy="max"):
         super().__init__(network, spec, tree=tree, policy=policy)
         tree = self.tree
@@ -586,37 +590,17 @@ def analyze_damage(
     network: RsnNetwork,
     spec,
     tree: Optional[SPTree] = None,
-    method: str = "fast",
     policy: str = "max",
     sites: str = "all",
-    backend: str = "ir",
 ) -> DamageReport:
     """Run the criticality analysis and return its :class:`DamageReport`.
 
-    ``method`` selects the implementation: ``"fast"`` (default, the O(N)
-    hierarchical computation), ``"explicit"`` (per-fault reference on the
-    tree) or ``"graph"`` (reachability-based; the only one that works on
-    non-series-parallel networks).  ``backend`` selects the reachability
-    engine of the graph method (``"ir"``, ``"dict"`` or the lane-packed
-    ``"bitset"`` kernel) and must be left at its default for the tree
-    methods.
+    The analysis is the one :func:`repro.analysis.route_analysis` picks:
+    the O(N) DP on a series-parallel network (or when ``tree`` is
+    given), the bitset reachability kernel otherwise.
     """
-    if method == "fast":
-        analysis = FastDamageAnalysis(network, spec, tree=tree, policy=policy)
-    elif method == "explicit":
-        analysis = ExplicitDamageAnalysis(
-            network, spec, tree=tree, policy=policy
-        )
-    elif method == "graph":
-        from .graph_analysis import GraphDamageAnalysis
+    from .route import route_analysis
 
-        analysis = GraphDamageAnalysis(
-            network, spec, policy=policy, backend=backend
-        )
-    else:
-        raise ReproError(f"unknown analysis method {method!r}")
-    if method != "graph" and backend != "ir":
-        raise ReproError(
-            f"backend={backend!r} only applies to method='graph'"
-        )
-    return analysis.report(sites=sites)
+    return route_analysis(network, spec, tree=tree, policy=policy).report(
+        sites=sites
+    )

@@ -14,7 +14,7 @@
   failure degrades gracefully to the serial evaluation.
 * **persistent result cache** — a completed report is stored on disk
   keyed by a content fingerprint of (compiled-IR fingerprint,
-  specification, method, policy, damage sites,
+  specification weights, policy, damage sites,
   :data:`ANALYSIS_VERSION`), so repeated
   ``cli analyze`` / ``cli table1`` runs and EA re-evaluations of the same
   problem skip the analysis entirely.  Any change to the network or spec
@@ -24,9 +24,9 @@
   outcome, memoization counters, worker utilization) for ``--stats``
   output and benchmark capture.
 
-The in-memory memoization of stuck tables and dead intervals lives in
-:class:`repro.analysis.damage.FastDamageAnalysis` itself; the engine only
-surfaces its counters.
+The analysis itself is the one :func:`repro.analysis.route_analysis`
+picks (route ``dp`` on series-parallel networks, ``bitset`` otherwise);
+the engine records the route in its stats, span and metrics.
 """
 
 from __future__ import annotations
@@ -58,24 +58,17 @@ from ..ir import MUX as IR_MUX
 from ..ir import LANE_BITS, CompiledNetwork, intern
 from ..rsn.network import RsnNetwork
 from ..sp.tree import SPTree
-from .damage import (
-    DamageReport,
-    ExplicitDamageAnalysis,
-    FastDamageAnalysis,
-    assemble_report,
-    partition_primitives,
-)
+from .damage import DamageReport, assemble_report, partition_primitives
+from .graph_analysis import GraphDamageAnalysis
+from .route import route_analysis
 
 #: Bump whenever the damage semantics change, so stale disk-cache entries
-#: can never be served for a new algorithm version.  "3": the reachability
-#: backend (``ir``/``dict``/``bitset``) joined the fingerprint payload, so
-#: no version-"2" key (which never named a backend) can collide with a new
-#: entry.
-ANALYSIS_VERSION = "3"
+#: can never be served for a new algorithm version.  "4": the key names
+#: no method or backend (the route follows from the network) and keys
+#: the spec by its weight digest.
+ANALYSIS_VERSION = "4"
 
-_METHODS = ("fast", "explicit", "graph")
 _SITES = ("all", "control", "mux")
-_BACKENDS = ("ir", "dict", "bitset")
 
 # Patchable factory so tests can simulate an unavailable pool.
 _EXECUTOR_FACTORY = ProcessPoolExecutor
@@ -99,32 +92,23 @@ def default_cache_dir() -> str:
 def analysis_fingerprint(
     network: RsnNetwork,
     spec,
-    method: str = "fast",
     policy: str = "max",
     sites: str = "all",
-    backend: str = "ir",
 ) -> str:
     """SHA-256 over everything the report depends on (the cache key).
 
     The network contribution is the compiled IR's content fingerprint,
     which folds in :data:`repro.ir.IR_VERSION` — a change to either the
     analysis semantics (:data:`ANALYSIS_VERSION`) or the IR layout
-    invalidates every older cache entry.  The reachability ``backend`` is
-    part of the key: the backends are property-tested to agree exactly,
-    but a cached report must still record which engine produced it so a
-    backend-specific regression can never be masked by a stale entry
-    computed by another one.
+    invalidates every older cache entry.  The spec enters only through
+    its damage weights (:meth:`repro.ir.CompiledNetwork.spec_digest`):
+    ``d_j`` depends on nothing else.  The route is not part of the key:
+    it follows from the network, and both routes agree exactly.
     """
-    payload = {
-        "version": ANALYSIS_VERSION,
-        "method": method,
-        "policy": policy,
-        "sites": sites,
-        "backend": backend,
-        "ir": intern(network).fingerprint,
-        "spec": spec.to_dict(),
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    ir = intern(network)
+    text = "\x00".join(
+        (ANALYSIS_VERSION, policy, sites, ir.fingerprint, ir.spec_digest(spec))
+    )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -136,13 +120,12 @@ class EngineStats:
     """Timing and counter instrumentation of one ``report()`` call."""
 
     network: str = ""
-    method: str = "fast"
+    #: The analysis route: "dp" or "bitset" (see repro.analysis.route).
+    route: str = ""
     policy: str = "max"
     sites: str = "all"
-    #: Reachability backend of the graph method ("ir" for tree methods).
-    backend: str = "ir"
     #: Fault lanes packed / lane chunks solved by the bitset kernel
-    #: (0 under the scalar backends).
+    #: (0 on the dp route).
     lanes: int = 0
     lane_chunks: int = 0
     primitives_evaluated: int = 0
@@ -175,10 +158,9 @@ class EngineStats:
     def as_dict(self) -> Dict:
         return {
             "network": self.network,
-            "method": self.method,
+            "route": self.route,
             "policy": self.policy,
             "sites": self.sites,
-            "backend": self.backend,
             "lanes": self.lanes,
             "lane_chunks": self.lane_chunks,
             "primitives_evaluated": self.primitives_evaluated,
@@ -202,9 +184,7 @@ class EngineStats:
         """Human-readable block for the CLI's ``--stats`` flag."""
         lines = [
             f"engine stats     : {self.network} "
-            f"[{self.method}/{self.policy}/{self.sites}"
-            + (f"/{self.backend}" if self.method == "graph" else "")
-            + "]",
+            f"[{self.route}/{self.policy}/{self.sites}]",
             f"  elapsed        : {self.elapsed_seconds:.3f}s",
             f"  faults         : {self.faults_evaluated:,} "
             f"({self.faults_per_second:,.0f} faults/s)",
@@ -315,40 +295,16 @@ class CumulativeEngineStats:
 # ---------------------------------------------------------------------------
 # worker-side helpers (module-level so they pickle by reference)
 # ---------------------------------------------------------------------------
-def _make_analysis(
-    network, spec, tree, method, policy, backend="ir", chunk_lanes=64
-):
-    if method == "fast":
-        return FastDamageAnalysis(network, spec, tree=tree, policy=policy)
-    if method == "explicit":
-        return ExplicitDamageAnalysis(
-            network, spec, tree=tree, policy=policy
-        )
-    if method == "graph":
-        from .graph_analysis import GraphDamageAnalysis
-
-        return GraphDamageAnalysis(
-            network,
-            spec,
-            policy=policy,
-            backend=backend,
-            chunk_lanes=chunk_lanes,
-        )
-    raise ReproError(f"unknown analysis method {method!r}")
-
-
 def _spawn_payload(
     ir: CompiledNetwork,
     spec,
-    method: str,
     policy: str,
-    backend: str = "ir",
     chunk_lanes: int = 64,
 ) -> bytes:
     """The bytes shipped to spawn-mode workers: the compact, array-backed
     IR instead of the dict graph (cheaper to pickle, one copy per worker
     instead of one per batch)."""
-    return pickle.dumps((ir, spec, method, policy, backend, chunk_lanes))
+    return pickle.dumps((ir, spec, policy, chunk_lanes))
 
 
 def _worker_init(payload: Optional[bytes] = None) -> None:
@@ -357,15 +313,14 @@ def _worker_init(payload: Optional[bytes] = None) -> None:
     On fork platforms ``payload`` is None and the analysis was inherited
     from the parent via :data:`_WORKER_ANALYSIS`.  Otherwise the payload
     carries the compiled IR, from which the worker re-derives the dict
-    view (and, for the tree methods, the decomposition) exactly once.
+    view and routes it (:func:`route_analysis`) exactly once — the same
+    network gives the same route as in the parent.
     """
     global _WORKER_ANALYSIS
     if payload is not None:
-        ir, spec, method, policy, backend, chunk_lanes = pickle.loads(
-            payload
-        )
-        _WORKER_ANALYSIS = _make_analysis(
-            ir.to_network(), spec, None, method, policy, backend, chunk_lanes
+        ir, spec, policy, chunk_lanes = pickle.loads(payload)
+        _WORKER_ANALYSIS = route_analysis(
+            ir.to_network(), spec, policy=policy, chunk_lanes=chunk_lanes
         )
 
 
@@ -414,10 +369,13 @@ def _worker_chunk(
 # the engine
 # ---------------------------------------------------------------------------
 class CriticalityEngine:
-    """Parallel + cached front-end over the damage analyses.
+    """Parallel + cached front-end over the routed damage analysis.
 
     Parameters
     ----------
+    tree:
+        Decomposition tree of ``network``; passing one selects the ``dp``
+        route without decomposing again (see :func:`route_analysis`).
     jobs:
         ``None``/``0``/``1`` — serial; ``"auto"`` — one worker per CPU;
         ``n >= 2`` — a pool of ``n`` workers.
@@ -426,10 +384,6 @@ class CriticalityEngine:
     min_parallel_primitives:
         Networks below this size always run serially (pool start-up would
         dominate).
-    backend:
-        Reachability backend of the graph method (``"ir"``, ``"dict"`` or
-        the lane-packed ``"bitset"`` kernel); must stay ``"ir"`` for the
-        tree methods.
     chunk_lanes:
         Bitset working-set bound: ``uint64`` words of fault lanes per
         kernel chunk (64 words = 4096 faults).  Parallel tasks are sized
@@ -448,34 +402,18 @@ class CriticalityEngine:
         network: RsnNetwork,
         spec,
         tree: Optional[SPTree] = None,
-        method: str = "fast",
         policy: str = "max",
         jobs=None,
         chunk_size: int = 1024,
         cache_dir: Optional[str] = None,
         min_parallel_primitives: int = 64,
-        backend: str = "ir",
         chunk_lanes: int = 64,
         max_cache_mb: Optional[float] = None,
     ):
-        if method not in _METHODS:
-            raise ReproError(
-                f"method must be one of {_METHODS}, got {method!r}"
-            )
-        if backend not in _BACKENDS:
-            raise ReproError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
-        if method != "graph" and backend != "ir":
-            raise ReproError(
-                f"backend={backend!r} only applies to method='graph'"
-            )
         self.network = network
         self.spec = spec
         self.tree = tree
-        self.method = method
         self.policy = policy
-        self.backend = backend
         self.chunk_lanes = max(1, int(chunk_lanes))
         self.jobs = self._normalize_jobs(jobs)
         self.chunk_size = max(1, int(chunk_size))
@@ -515,21 +453,18 @@ class CriticalityEngine:
         started = time.perf_counter()
         stats = EngineStats(
             network=self.network.name,
-            method=self.method,
             policy=self.policy,
             sites=sites,
-            backend=self.backend,
         )
         self.stats = stats
         with span(
             "engine.analyze",
             network=self.network.name,
             fingerprint=intern(self.network).fingerprint[:16],
-            method=self.method,
-            backend=self.backend,
             sites=sites,
         ) as analyze_span:
             report = self._report(sites, stats)
+            analyze_span.set_attribute("route", stats.route)
             analyze_span.set_attribute("cache", stats.cache)
             if stats.lanes:
                 analyze_span.set_attribute("lanes", stats.lanes)
@@ -546,21 +481,17 @@ class CriticalityEngine:
         key = None
         if self.cache_dir:
             key = analysis_fingerprint(
-                self.network,
-                self.spec,
-                self.method,
-                self.policy,
-                sites,
-                self.backend,
+                self.network, self.spec, self.policy, sites
             )
             stats.cache_key = key
             with span("engine.cache_lookup", key=key[:16]) as lookup:
-                report = self._load_cached(key)
+                cached = self._load_cached(key)
                 lookup.set_attribute(
-                    "outcome", "hit" if report is not None else "miss"
+                    "outcome", "hit" if cached is not None else "miss"
                 )
-            if report is not None:
+            if cached is not None:
                 stats.cache = "hit"
+                stats.route, report = cached
                 return report
             stats.cache = "miss"
 
@@ -568,6 +499,7 @@ class CriticalityEngine:
         stats.primitives_evaluated = len(evaluated)
         stats.faults_evaluated = self._count_faults(evaluated)
 
+        stats.route = self._build_analysis().route
         damages = None
         if (
             self.jobs >= 2
@@ -585,7 +517,7 @@ class CriticalityEngine:
             )
         if damages is None:
             with span("engine.serial", primitives=len(evaluated)):
-                before = _batch_counters(self._build_analysis())
+                before = _batch_counters(self._analysis)
                 damages = self._serial_damages(evaluated)
                 after = _batch_counters(self._analysis)
             stats.lanes = after.get("lanes", 0) - before.get("lanes", 0)
@@ -620,14 +552,12 @@ class CriticalityEngine:
     # -- evaluation paths ------------------------------------------------
     def _build_analysis(self):
         if self._analysis is None:
-            self._analysis = _make_analysis(
+            self._analysis = route_analysis(
                 self.network,
                 self.spec,
-                self.tree,
-                self.method,
-                self.policy,
-                self.backend,
-                self.chunk_lanes,
+                tree=self.tree,
+                policy=self.policy,
+                chunk_lanes=self.chunk_lanes,
             )
         return self._analysis
 
@@ -635,24 +565,21 @@ class CriticalityEngine:
         return self._build_analysis().primitive_damages(names)
 
     # -- population queries ----------------------------------------------
-    def population_analysis(self):
-        """The graph analysis population queries run on.
+    def population_analysis(self) -> GraphDamageAnalysis:
+        """The bitset analysis population (fault-set) queries run on.
 
-        The graph method shares the engine's own analysis (and its lane
-        kernel); the tree methods cannot answer multi-fault state queries,
-        so a graph analysis with the engine's backend and ``chunk_lanes``
-        is built lazily alongside them.
+        Once the engine has built a ``bitset``-route analysis, that one
+        (and its lane kernel); otherwise — the DP cannot answer
+        multi-fault state queries, and a cached report built nothing — a
+        bitset analysis with the engine's ``chunk_lanes`` is built lazily.
         """
-        if self.method == "graph":
-            return self._build_analysis()
+        if self._analysis is not None and self._analysis.route == "bitset":
+            return self._analysis
         if self._population is None:
-            from .graph_analysis import GraphDamageAnalysis
-
             self._population = GraphDamageAnalysis(
                 self.network,
                 self.spec,
                 policy=self.policy,
-                backend=self.backend,
                 chunk_lanes=self.chunk_lanes,
             )
         return self._population
@@ -664,11 +591,7 @@ class CriticalityEngine:
         states = list(states)
         analysis = self.population_analysis()
         before = _batch_counters(analysis)
-        with span(
-            "engine.population",
-            states=len(states),
-            backend=self.backend,
-        ):
+        with span("engine.population", states=len(states)):
             damages = analysis.damage_of_states(states)
         after = _batch_counters(analysis)
         self.cumulative.lanes += after.get("lanes", 0) - before.get(
@@ -684,16 +607,10 @@ class CriticalityEngine:
         """Damage per lane of a pre-lowered
         :class:`repro.analysis.batch.PackedStates` block — the
         array-form counterpart of :meth:`population_damages` for callers
-        that lower whole genome blocks vectorized (requires the bitset
-        backend; consumes ``packed``)."""
+        that lower whole genome blocks vectorized (consumes ``packed``)."""
         analysis = self.population_analysis()
         before = _batch_counters(analysis)
-        with span(
-            "engine.population",
-            states=packed.lanes,
-            backend=self.backend,
-            packed=True,
-        ):
+        with span("engine.population", states=packed.lanes, packed=True):
             damages = analysis.damage_of_packed_states(packed)
         after = _batch_counters(analysis)
         self.cumulative.lanes += after.get("lanes", 0) - before.get(
@@ -708,15 +625,15 @@ class CriticalityEngine:
     def _partition_chunks(self, names: List[str]) -> List[List[str]]:
         """Split the evaluated primitives into worker tasks.
 
-        Scalar backends: fixed-size name chunks (a task amortizes pool
-        dispatch over ~``chunk_size`` scalar queries).  Bitset backend:
+        ``dp`` route: fixed-size name chunks (a task amortizes pool
+        dispatch over ~``chunk_size`` scalar queries).  ``bitset`` route:
         tasks sized by accumulated *fault* count so each covers one
         kernel chunk of ``chunk_lanes * 64`` lanes — a single vectorized
         solve per dispatch — capped so the pool still gets at least ~one
         task per worker.
         """
         jobs = self.jobs
-        if self.backend == "bitset":
+        if self._build_analysis().route == "bitset":
             ir = intern(self.network)
             total = self._count_faults(names)
             capacity = max(
@@ -769,9 +686,7 @@ class CriticalityEngine:
                 _spawn_payload(
                     intern(self.network),
                     self.spec,
-                    self.method,
                     self.policy,
-                    self.backend,
                     self.chunk_lanes,
                 ),
             )
@@ -829,10 +744,12 @@ class CriticalityEngine:
     def _cache_path(self, key: str) -> str:
         return os.path.join(self.cache_dir, f"{key}.json")
 
-    def _load_cached(self, key: str) -> Optional[DamageReport]:
+    def _load_cached(self, key: str) -> Optional[Tuple[str, DamageReport]]:
+        """``(route, report)`` of a stored entry, ``None`` on a miss."""
         try:
             with open(self._cache_path(key), encoding="utf-8") as handle:
                 payload = json.load(handle)
+            route = str(payload["route"])
             primitive_damage = {
                 str(name): float(value)
                 for name, value in payload["primitive_damage"].items()
@@ -849,7 +766,7 @@ class CriticalityEngine:
             os.utime(self._cache_path(key))
         except OSError:
             pass
-        return DamageReport(
+        return route, DamageReport(
             self.network, self.policy, primitive_damage, unit_damage
         )
 
@@ -859,7 +776,7 @@ class CriticalityEngine:
             "fingerprint": key,
             "analysis_version": ANALYSIS_VERSION,
             "network": self.network.name,
-            "method": self.method,
+            "route": self._analysis.route,
             "policy": self.policy,
             "primitive_damage": report.primitive_damage,
             "unit_damage": report.unit_damage,
@@ -920,12 +837,10 @@ def analyze_damage_cached(
     network: RsnNetwork,
     spec,
     tree: Optional[SPTree] = None,
-    method: str = "fast",
     policy: str = "max",
     sites: str = "all",
     jobs=None,
     cache_dir: Optional[str] = None,
-    backend: str = "ir",
     chunk_lanes: int = 64,
     max_cache_mb: Optional[float] = None,
 ) -> Tuple[DamageReport, EngineStats]:
@@ -935,11 +850,9 @@ def analyze_damage_cached(
         network,
         spec,
         tree=tree,
-        method=method,
         policy=policy,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         chunk_lanes=chunk_lanes,
         max_cache_mb=max_cache_mb,
     )

@@ -1,8 +1,8 @@
 """Benchmark-regression gating: fresh hot-path timings vs a baseline.
 
 ``results/BENCH_*.json`` records the perf trajectory of the hot paths
-(serial engine analysis, the lane-packed bitset kernel, the compiled-IR
-graph walk) on the machine that produced them.  ``repro-rsn bench-diff``
+(EA population sweeps, campaigns, the service, telemetry overhead) on
+the machine that produced them.  ``repro-rsn bench-diff``
 re-measures those same workloads — same generated designs, same seeds,
 same fault universes — on the current tree and fails when any hot path
 slowed down by more than the tolerance, so a perf regression shows up in
@@ -38,9 +38,8 @@ __all__ = [
     "load_hot_paths",
 ]
 
-#: Fault-sample parameters of the IR benchmark (mirrors
-#: ``benchmarks/bench_analysis_scaling.py``).
-_IR_SAMPLE_SEED = 1234
+#: Seed of the service benchmark's request plan.
+_PLAN_SEED = 1234
 
 
 class RegressionParseError(ReproError):
@@ -60,7 +59,7 @@ class HotPath:
     n_segments: int
     n_muxes: int
     baseline_seconds: float
-    #: Metric-specific knobs (method, sampled fault count, ...).
+    #: Metric-specific knobs (population, sampled rates, ...).
     params: Dict = field(default_factory=dict)
     #: Per-path tolerance override; ``None`` uses the gate-wide
     #: ``--tolerance`` (telemetry overhead gates at 5% regardless).
@@ -198,56 +197,7 @@ def load_hot_paths(path: str) -> Tuple[str, List[HotPath]]:
         design = str(_require(row, "design", path))
         n_segments = int(_require(row, "n_segments", path))
         n_muxes = int(_require(row, "n_muxes", path))
-        if benchmark == "criticality-engine":
-            method = str(_require(row, "method", path))
-            serial = _require(row, "serial", path)
-            if not isinstance(serial, dict) or "seconds" not in serial:
-                raise RegressionParseError(
-                    f"{path}: row {design!r} has no serial.seconds"
-                )
-            hot_paths.append(
-                HotPath(
-                    design=design,
-                    metric=f"serial/{method}",
-                    n_segments=n_segments,
-                    n_muxes=n_muxes,
-                    baseline_seconds=float(serial["seconds"]),
-                    params={"method": method},
-                )
-            )
-        elif benchmark == "bitset-batch-analysis":
-            hot_paths.append(
-                HotPath(
-                    design=design,
-                    metric="bitset",
-                    n_segments=n_segments,
-                    n_muxes=n_muxes,
-                    baseline_seconds=float(
-                        _require(row, "bitset_seconds", path)
-                    ),
-                )
-            )
-        elif benchmark == "compiled-ir-vs-dict":
-            graph = _require(row, "graph_analysis", path)
-            if not isinstance(graph, dict) or "ir_seconds" not in graph:
-                raise RegressionParseError(
-                    f"{path}: row {design!r} has no graph_analysis.ir_seconds"
-                )
-            hot_paths.append(
-                HotPath(
-                    design=design,
-                    metric="graph_ir",
-                    n_segments=n_segments,
-                    n_muxes=n_muxes,
-                    baseline_seconds=float(graph["ir_seconds"]),
-                    params={
-                        "faults_sampled": int(
-                            graph.get("faults_sampled", 30)
-                        )
-                    },
-                )
-            )
-        elif benchmark == "ea-population":
+        if benchmark == "ea-population":
             hot_paths.append(
                 HotPath(
                     design=design,
@@ -392,39 +342,9 @@ def _all_faults(network) -> List:
     return faults
 
 
-def _measure_once(hot_path: HotPath, network, spec, tree=None) -> float:
-    from ..analysis import CriticalityEngine, GraphDamageAnalysis
+def _measure_once(hot_path: HotPath, network, spec) -> float:
+    from ..analysis import GraphDamageAnalysis
 
-    if hot_path.metric.startswith("serial/"):
-        # Mirror the baseline's _time_engine: tree pre-built outside the
-        # timer, serial (jobs=0), no parallel floor, no cache.
-        started = time.perf_counter()
-        engine = CriticalityEngine(
-            network,
-            spec,
-            tree=tree,
-            method=hot_path.params["method"],
-            jobs=0,
-            min_parallel_primitives=1,
-        )
-        engine.report()
-        return time.perf_counter() - started
-    if hot_path.metric == "bitset":
-        faults = _all_faults(network)
-        started = time.perf_counter()
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
-        analysis.damage_vector(faults)
-        return time.perf_counter() - started
-    if hot_path.metric == "graph_ir":
-        faults = _all_faults(network)
-        count = hot_path.params["faults_sampled"]
-        if len(faults) > count:
-            faults = random.Random(_IR_SAMPLE_SEED).sample(faults, count)
-        started = time.perf_counter()
-        analysis = GraphDamageAnalysis(network, spec, backend="ir")
-        for fault in faults:
-            analysis.damage_of_fault(fault)
-        return time.perf_counter() - started
     if hot_path.metric == "ea_batched_eval":
         # Mirror bench_ea_population: problem + population built outside
         # the timer, one cold batched evaluate inside it.
@@ -434,7 +354,7 @@ def _measure_once(hot_path: HotPath, network, spec, tree=None) -> float:
         from ..ea import init_population
         from ..spec.cost_model import GateCountCost
 
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         problem = FaultSetHardeningProblem(
             network, analysis.report(), GateCountCost(), analysis
         )
@@ -456,7 +376,7 @@ def _measure_once(hot_path: HotPath, network, spec, tree=None) -> float:
         from ..ea import init_population
         from ..spec.cost_model import GateCountCost
 
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         problem = FaultSetHardeningProblem(
             network, analysis.report(), GateCountCost(), analysis
         )
@@ -474,7 +394,7 @@ def _measure_once(hot_path: HotPath, network, spec, tree=None) -> float:
         # vectorized rate sweep (sampling + lane-block solves) inside.
         from ..campaigns import MonteCarloPlan, run_monte_carlo
 
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         plan = MonteCarloPlan(
             rates=tuple(hot_path.params["rates"]),
             samples=hot_path.params["samples"],
@@ -493,7 +413,7 @@ def _measure_once(hot_path: HotPath, network, spec, tree=None) -> float:
             run_diagnosis,
         )
 
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         matrix = effect_signature_matrix(analysis)
         plan = DiagnosisPlan(
             observations=hot_path.params["observations"],
@@ -532,12 +452,10 @@ def _measure_service(hot_path: HotPath, repeats: int) -> float:
     faults = list(iter_all_faults(network))
     direct = [
         float(d)
-        for d in GraphDamageAnalysis(
-            network, spec, backend="bitset"
-        ).damage_vector(faults)
+        for d in GraphDamageAnalysis(network, spec).damage_vector(faults)
     ]
     plan = [
-        random.Random(_IR_SAMPLE_SEED + offset).randrange(len(faults))
+        random.Random(_PLAN_SEED + offset).randrange(len(faults))
         for offset in range(params["requests"])
     ]
     best = float("inf")
@@ -606,7 +524,7 @@ def _measure_telemetry(hot_path: HotPath, repeats: int) -> float:
     faults = _all_faults(network)
 
     def sweep() -> float:
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         started = time.perf_counter()
         analysis.damage_vector(faults)
         return time.perf_counter() - started
@@ -639,14 +557,8 @@ def measure_hot_path(hot_path: HotPath, repeats: int = 3) -> float:
     if hot_path.metric == "telemetry_overhead":
         return _measure_telemetry(hot_path, repeats)
     network, spec = _build(hot_path)
-    tree = None
-    if hot_path.metric.startswith("serial/"):
-        from ..sp import decompose
-
-        tree = decompose(network)
     return min(
-        _measure_once(hot_path, network, spec, tree)
-        for _ in range(repeats)
+        _measure_once(hot_path, network, spec) for _ in range(repeats)
     )
 
 

@@ -118,7 +118,6 @@ def run_design(
     damage_sites: str = "all",
     jobs=None,
     cache_dir: Optional[str] = None,
-    backend: str = "ir",
     chunk_lanes: int = 64,
     max_cache_mb: Optional[float] = None,
     objective: str = "linear",
@@ -141,7 +140,6 @@ def run_design(
         damage_sites=damage_sites,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         chunk_lanes=chunk_lanes,
         max_cache_mb=max_cache_mb,
         objective=objective,

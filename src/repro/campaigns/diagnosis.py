@@ -44,8 +44,8 @@ def effect_signature_matrix(analysis) -> SignatureMatrix:
 
     Positions are ``("unobs", name)`` / ``("unset", name)`` over the
     primitives, bit-identical to
-    ``GraphDamageAnalysis.effect_of_fault`` (the scalar backends build
-    the same matrix from per-fault effect sets — the parity path)."""
+    ``GraphDamageAnalysis.effect_of_fault`` (an analysis without a lane
+    kernel builds the same matrix from per-fault effect sets)."""
     network = analysis.network
     if network is None:
         raise ReproError("effect signatures need a network object")

@@ -46,8 +46,8 @@ from .checkpoint import CheckpointStore
 #: the campaign key, so stale checkpoints can never be replayed.
 CAMPAIGN_VERSION = 1
 
-#: Block size when no kernel capacity and no budget apply (scalar
-#: backends).
+#: Block size when no kernel capacity and no budget apply (an analysis
+#: without a lane kernel).
 _DEFAULT_BLOCK = 4096
 
 
@@ -74,11 +74,7 @@ def spec_token(analysis) -> str:
     memo = analysis.derived.get("spec_token")
     if memo is not None and memo[0] is analysis.spec:
         return memo[1]
-    do_vec, ds_vec = analysis.ir.weight_vectors(analysis.spec)
-    digest = hashlib.sha256()
-    digest.update(do_vec.tobytes())
-    digest.update(ds_vec.tobytes())
-    token = digest.hexdigest()[:32]
+    token = analysis.ir.spec_digest(analysis.spec)
     analysis.derived["spec_token"] = (analysis.spec, token)
     return token
 

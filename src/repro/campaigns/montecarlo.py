@@ -3,8 +3,8 @@
 For each rate in the plan, ``samples`` independent defect draws (every
 un-hardened primitive fails with probability ``rate``; a failing site
 takes a uniformly random concrete fault) are evaluated through
-``damage_of_fault_sets`` — one kernel lane per sample under the bitset
-backend — in lane blocks sized by the ``--max-lane-mb`` budget.  The
+``damage_of_fault_sets`` — one bitset kernel lane per sample — in lane
+blocks sized by the ``--max-lane-mb`` budget.  The
 per-rate curve reports the sample mean (the multi-fault generalization
 of Eq. 2's expectation), spread, and a bootstrap confidence interval on
 the mean.

@@ -28,7 +28,7 @@ draws uniformly among its concrete faults
 array-form blocks (:class:`repro.analysis.faults.FaultSetBlock`):
 ``(lane, candidate index)`` pairs into the campaign's flat
 :class:`~repro.analysis.faults.CandidateTable`, which the bitset kernel
-lowers straight to packed lane masks and the scalar backends read as
+lowers straight to packed lane masks and any other analysis reads as
 plain ``Fault`` lists.
 """
 

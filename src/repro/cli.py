@@ -147,20 +147,12 @@ def _add_engine_options(parser) -> None:
         help="analysis worker processes (0/1 = serial, default serial)",
     )
     parser.add_argument(
-        "--backend",
-        choices=["ir", "dict", "bitset"],
-        default="ir",
-        help="reachability backend of the graph analysis: per-fault BFS "
-        "over the compiled IR (default), the string-keyed reference, or "
-        "the lane-packed bitset kernel (64 faults per sweep)",
-    )
-    parser.add_argument(
         "--chunk-lanes",
         type=_positive_int,
         default=64,
         metavar="W",
-        help="bitset backend: uint64 words of fault lanes per kernel "
-        "chunk (default 64 = 4096 faults)",
+        help="bitset kernel (non-SP networks, fault sets): uint64 words "
+        "of fault lanes per kernel chunk (default 64 = 4096 faults)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -221,7 +213,6 @@ def _cmd_table1(args) -> int:
         damage_sites=args.damage_sites,
         jobs=args.jobs,
         cache_dir=_engine_cache_dir(args),
-        backend=args.backend,
         chunk_lanes=args.chunk_lanes,
         max_cache_mb=args.cache_max_mb,
         objective=args.objective,
@@ -289,17 +280,12 @@ def _load_network(path: str):
 def _cmd_analyze(args) -> int:
     network = _load_network(args.network)
     spec = spec_for_network(network, seed=args.seed)
-    method = args.method
-    if method is None:
-        method = "fast" if args.backend == "ir" else "graph"
     engine = CriticalityEngine(
         network,
         spec,
-        method=method,
         policy=args.policy,
         jobs=args.jobs,
         cache_dir=_engine_cache_dir(args),
-        backend=args.backend,
         chunk_lanes=args.chunk_lanes,
         max_cache_mb=args.cache_max_mb,
     )
@@ -362,7 +348,6 @@ def _cmd_harden(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
         cache_dir=_engine_cache_dir(args),
-        backend=args.backend,
         chunk_lanes=args.chunk_lanes,
         max_cache_mb=args.cache_max_mb,
         objective=args.objective,
@@ -691,12 +676,7 @@ def _cmd_submit(args) -> int:
 
     params = {"fingerprint": entry["fingerprint"], "seed": args.seed}
     if args.kind == "analyze":
-        params.update(
-            method=args.method,
-            policy=args.policy,
-            sites=args.sites,
-            backend=args.backend,
-        )
+        params.update(policy=args.policy, sites=args.sites)
     elif args.kind == "harden":
         params.update(generations=args.generations)
     elif args.kind == "table1":
@@ -891,7 +871,6 @@ def _cmd_campaign(args) -> int:
         params = dict(
             seed=args.seed,
             policy=args.policy,
-            backend=args.backend,
             chunk_lanes=args.chunk_lanes,
             resume=not args.no_resume,
         )
@@ -918,7 +897,6 @@ def _cmd_campaign(args) -> int:
             network,
             spec,
             policy=args.policy,
-            backend=args.backend,
             chunk_lanes=args.chunk_lanes,
         )
         result = run_campaign(
@@ -980,13 +958,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     analyze.add_argument("--seed", type=int, default=0)
     analyze.add_argument("--top", type=int, default=10)
-    analyze.add_argument(
-        "--method",
-        choices=["fast", "explicit", "graph"],
-        default=None,
-        help="analysis implementation (default: fast; graph when a "
-        "non-default --backend is selected)",
-    )
     analyze.add_argument(
         "--policy", choices=["max", "sum", "mean"], default="max"
     )
@@ -1227,19 +1198,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             "--policy", choices=["max", "sum", "mean"], default="max"
         )
         sub.add_argument(
-            "--backend",
-            choices=["ir", "dict", "bitset"],
-            default="bitset",
-            help="analysis backend (default bitset: one kernel lane "
-            "per fault set)",
-        )
-        sub.add_argument(
             "--chunk-lanes",
             type=_positive_int,
             default=64,
             metavar="W",
-            help="bitset backend: uint64 words of fault lanes per "
-            "kernel chunk (default 64 = 4096 lanes)",
+            help="uint64 words of fault lanes per bitset kernel chunk "
+            "(default 64 = 4096 lanes; one lane per fault set)",
         )
         sub.add_argument(
             "--max-lane-mb",
@@ -1412,9 +1376,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench_diff.add_argument(
         "baselines",
         nargs="*",
-        default=["results/BENCH_criticality.json"],
+        default=["results/BENCH_ea.json"],
         help="BENCH_*.json baseline files "
-        "(default: results/BENCH_criticality.json)",
+        "(default: results/BENCH_ea.json)",
     )
     bench_diff.add_argument(
         "--tolerance",
@@ -1465,19 +1429,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--top", type=int, default=10)
     submit.add_argument(
-        "--method",
-        choices=["fast", "explicit", "graph"],
-        default=None,
-        help="analyze: analysis implementation (default: fast)",
-    )
-    submit.add_argument(
         "--policy", choices=["max", "sum", "mean"], default="max"
     )
     submit.add_argument(
         "--sites", choices=["all", "control", "mux"], default="all"
-    )
-    submit.add_argument(
-        "--backend", choices=["ir", "dict", "bitset"], default="ir"
     )
     submit.add_argument(
         "--generations",

@@ -76,7 +76,6 @@ class SelectiveHardening:
         seed: int = 0,
         jobs=None,
         cache_dir: Optional[str] = None,
-        backend: str = "ir",
         chunk_lanes: int = 64,
         max_cache_mb: Optional[float] = None,
         objective: str = "linear",
@@ -97,8 +96,8 @@ class SelectiveHardening:
             try:
                 self.tree = decompose(network)
             except NotSeriesParallelError:
-                # non-SP network: the analysis falls back to graph
-                # reachability (see repro.analysis.graph_analysis)
+                # non-SP network: the engine routes it to the bitset
+                # kernel (see repro.analysis.route)
                 self.tree = None
         self.policy = policy
         self.hardenable = hardenable
@@ -106,7 +105,6 @@ class SelectiveHardening:
         self.seed = seed
         self.jobs = jobs
         self.cache_dir = cache_dir
-        self.backend = backend
         self.chunk_lanes = chunk_lanes
         self.max_cache_mb = max_cache_mb
         self.objective = objective
@@ -127,22 +125,13 @@ class SelectiveHardening:
         """The (cached) criticality engine behind :attr:`report` and the
         population damage queries of the fault-set objective."""
         if self._engine is None:
-            # A non-default backend selects the graph analysis even on
-            # SP networks (the tree method has no backend notion).
-            method = (
-                "fast"
-                if self.tree is not None and self.backend == "ir"
-                else "graph"
-            )
             self._engine = CriticalityEngine(
                 self.network,
                 self.spec,
                 tree=self.tree,
-                method=method,
                 policy=self.policy,
                 jobs=self.jobs,
                 cache_dir=self.cache_dir,
-                backend=self.backend,
                 chunk_lanes=self.chunk_lanes,
                 max_cache_mb=self.max_cache_mb,
             )
@@ -168,14 +157,7 @@ class SelectiveHardening:
                     analysis=self.engine.population_analysis(),
                     hardenable=self.hardenable,
                     evaluate_states=self.engine.population_damages,
-                    # Array-form sweeps (vectorized genome lowering) are
-                    # a bitset-kernel encoding; scalar backends keep the
-                    # per-genome tuple path as the parity reference.
-                    evaluate_packed=(
-                        self.engine.population_damages_packed
-                        if self.backend == "bitset"
-                        else None
-                    ),
+                    evaluate_packed=self.engine.population_damages_packed,
                     max_lane_mb=self.max_lane_mb,
                 )
             else:
@@ -309,12 +291,7 @@ class SelectiveHardening:
         payload = {
             "ea_version": EA_CACHE_VERSION,
             "analysis": analysis_fingerprint(
-                self.network,
-                self.spec,
-                self.engine.method,
-                self.policy,
-                self.damage_sites,
-                self.backend,
+                self.network, self.spec, self.policy, self.damage_sites
             ),
             "objective": self.objective,
             "hardenable": self.hardenable,

@@ -149,20 +149,20 @@ class FaultSetHardeningProblem(HardeningProblem):
     (:meth:`GraphDamageAnalysis.effect_of_faults` semantics), and a whole
     population is swept through
     :meth:`~repro.analysis.graph_analysis.GraphDamageAnalysis.damage_of_states`
-    — one kernel lane per unique genome under the bitset backend.
+    — one bitset kernel lane per unique genome.
 
     An :class:`repro.ea.EvaluationMemo` keyed by the packed genome bytes
     makes re-evaluation incremental: after crossover/mutation only the
     genomes whose bits actually changed are swept again.
 
-    Under the bitset backend the memo misses never become Python tuples:
+    The memo misses never become Python tuples:
     :class:`repro.core.lowering.PopulationLowering` lowers whole genome
     blocks straight to the kernel's packed word masks
     (:meth:`lower_packed`), streamed in lane blocks bounded by both the
     kernel's ``chunk_lanes`` and a hard memory budget (``max_lane_mb``)
-    so a population of 100k never materializes all lanes at once.  The
-    scalar backends keep the per-genome :meth:`_state_of` path — the
-    parity reference the vectorized path is property-tested
+    so a population of 100k never materializes all lanes at once.
+    ``lowering="scalar"`` keeps the per-genome :meth:`_state_of` path —
+    the parity reference the vectorized path is property-tested
     ``==``-identical against.
 
     ``evaluate_states`` optionally reroutes the tuple-state sweep (e.g.
@@ -183,33 +183,19 @@ class FaultSetHardeningProblem(HardeningProblem):
         evaluate_packed: Optional[Callable] = None,
         max_memo_entries: int = 1 << 17,
         max_lane_mb: Optional[float] = 64.0,
-        lowering: str = "auto",
+        lowering: str = "vectorized",
     ):
         super().__init__(network, report, cost_model, hardenable=hardenable)
-        if lowering not in ("auto", "vectorized", "scalar"):
+        if lowering not in ("vectorized", "scalar"):
             raise OptimizationError(
-                "lowering must be 'auto', 'vectorized' or 'scalar', "
+                "lowering must be 'vectorized' or 'scalar', "
                 f"got {lowering!r}"
             )
         self._analysis = analysis
         self._evaluate_states_fn = evaluate_states
         self._evaluate_packed_fn = evaluate_packed
         self.max_lane_mb = max_lane_mb
-        # Vectorized lowering produces bitset lane masks; scalar analysis
-        # backends have no lane notion, so they stay on the per-genome
-        # tuple path (which doubles as the parity reference).
-        vector_ok = (
-            evaluate_packed is not None
-            or getattr(analysis, "backend", None) == "bitset"
-        )
-        if lowering == "vectorized" and not vector_ok:
-            raise OptimizationError(
-                "lowering='vectorized' needs the bitset backend or an "
-                "evaluate_packed hook"
-            )
-        self._vectorized = (
-            vector_ok if lowering == "auto" else lowering == "vectorized"
-        )
+        self._vectorized = lowering == "vectorized"
         self._lowering = None  # built lazily on the first packed sweep
         ir = analysis.ir
 

@@ -292,6 +292,17 @@ class CompiledNetwork:
             do_w[seg_id], ds_w[seg_id] = spec.weight(instrument)
         return do_w, ds_w
 
+    def spec_digest(self, spec) -> str:
+        """A content hash of :meth:`weight_vectors` — the spec's
+        contribution to every cache key (the analysis result cache, the
+        campaign checkpoints): ``d_j`` depends on the spec only through
+        these weights, and specs have no fingerprint of their own."""
+        do_w, ds_w = self.weight_vectors(spec)
+        digest = hashlib.sha256()
+        digest.update(do_w.tobytes())
+        digest.update(ds_w.tobytes())
+        return digest.hexdigest()[:32]
+
     # -- reconstruction --------------------------------------------------
     def to_network(self) -> RsnNetwork:
         """Rebuild the dict-based :class:`RsnNetwork` this IR was compiled

@@ -359,9 +359,9 @@ def record_engine_stats(stats, registry: Optional[MetricsRegistry] = None):
     registry.counter(
         "repro_engine_reports_total",
         "Criticality reports computed (or served from cache), by "
-        "method and backend.",
-        ("method", "backend"),
-    ).inc(method=stats.method, backend=stats.backend)
+        "analysis route.",
+        ("route",),
+    ).inc(route=stats.route)
     registry.counter(
         "repro_engine_cache_total",
         "Engine result-cache outcomes.",

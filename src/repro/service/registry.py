@@ -18,9 +18,9 @@ lock discipline:
   clients only ever send the seed over the wire);
 * one single-fault solver per ``(seed, policy)`` — the coalescer's
   ``/damage`` solver (:mod:`repro.service.batching`), routed by regime
-  by :func:`repro.service.solver.single_fault_solver`;
+  by :func:`repro.analysis.route_analysis`;
 * one :class:`repro.analysis.GraphDamageAnalysis` (plus a serialization
-  lock) per ``(seed, policy, backend, chunk_lanes)`` — the campaign
+  lock) per ``(seed, policy, chunk_lanes)`` — the campaign
   jobs' analysis.  The embedded kernel is not thread-safe, so campaign
   runners hold the paired lock around every block solve; two campaign
   jobs on the same network interleave at block granularity instead of
@@ -218,11 +218,10 @@ class NetworkRegistry:
         fingerprint: str,
         seed: int = 0,
         policy: str = "max",
-        backend: str = "bitset",
         chunk_lanes: int = 64,
     ) -> Tuple[GraphDamageAnalysis, threading.Lock]:
-        """The analysis campaign jobs run on, with its serialization
-        lock; memoized per (fingerprint, seed, policy, backend,
+        """The bitset analysis campaign jobs run on, with its
+        serialization lock; memoized per (fingerprint, seed, policy,
         chunk_lanes).
 
         Campaign runners must hold the returned lock around each block
@@ -231,13 +230,7 @@ class NetworkRegistry:
         queue workers may run campaigns on the same network at once.
         """
         entry = self.get(fingerprint)
-        key = (
-            fingerprint,
-            int(seed),
-            str(policy),
-            str(backend),
-            int(chunk_lanes),
-        )
+        key = (fingerprint, int(seed), str(policy), int(chunk_lanes))
         with self._lock:
             pair = self._campaigns.get(key)
         if pair is None:
@@ -245,7 +238,6 @@ class NetworkRegistry:
                 entry.network,
                 self.spec(fingerprint, seed=seed),
                 policy=policy,
-                backend=backend,
                 chunk_lanes=int(chunk_lanes),
             )
             with self._lock:

@@ -11,7 +11,7 @@ facade.
 
 Analyze jobs run through :class:`repro.analysis.CriticalityEngine` with
 the service's shared disk cache, so a repeated analyze of the same
-(network, spec, method) is a cache hit, not a recompute — observable in
+(network, spec, policy, sites) is a cache hit, not a recompute — observable in
 the job's ``result.stats.cache`` and the ``repro_engine_cache_total``
 counter.
 """
@@ -348,18 +348,12 @@ class AnalysisService:
     def _prepare_analyze(self, payload: Dict) -> Tuple:
         entry = self._get_entry(payload)
         seed = int(payload.get("seed", 0))
-        backend = str(payload.get("backend", "ir"))
-        method = payload.get("method")
-        if method is None:
-            method = "fast" if backend == "ir" else "graph"
         params = {
             "fingerprint": entry.fingerprint,
             "network": entry.name,
             "seed": seed,
-            "method": str(method),
             "policy": str(payload.get("policy", "max")),
             "sites": str(payload.get("sites", "all")),
-            "backend": backend,
             "chunk_lanes": int(payload.get("chunk_lanes", 64)),
         }
 
@@ -372,10 +366,8 @@ class AnalysisService:
                     entry.fingerprint,
                     seed=seed,
                     params={
-                        "method": params["method"],
                         "policy": params["policy"],
                         "sites": params["sites"],
-                        "backend": params["backend"],
                         "chunk_lanes": params["chunk_lanes"],
                         "cache_dir": self.cache_dir,
                         "max_cache_mb": self.max_cache_mb,
@@ -387,11 +379,9 @@ class AnalysisService:
             engine = CriticalityEngine(
                 entry.network,
                 spec,
-                method=params["method"],
                 policy=params["policy"],
                 jobs=self.engine_jobs,
                 cache_dir=self.cache_dir,
-                backend=params["backend"],
                 chunk_lanes=params["chunk_lanes"],
                 max_cache_mb=self.max_cache_mb,
             )
@@ -515,7 +505,6 @@ class AnalysisService:
         entry = self._get_entry(payload)
         seed = int(payload.get("seed", 0))
         policy = str(payload.get("policy", "max"))
-        backend = str(payload.get("backend", "bitset"))
         chunk_lanes = int(payload.get("chunk_lanes", 64))
         raw_plan = payload.get("campaign")
         if not isinstance(raw_plan, dict):
@@ -535,7 +524,6 @@ class AnalysisService:
             "network": entry.name,
             "seed": seed,
             "policy": policy,
-            "backend": backend,
             "campaign": plan.kind,
             "plan": plan.as_dict(),
         }
@@ -545,7 +533,6 @@ class AnalysisService:
                 entry.fingerprint,
                 seed=seed,
                 policy=policy,
-                backend=backend,
                 chunk_lanes=chunk_lanes,
             )
             return run_campaign(

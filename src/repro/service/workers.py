@@ -34,7 +34,7 @@ pool of worker *processes*, sharded by compiled-IR fingerprint:
   the engine's chunk workers.
 
 Results are bit-identical to in-process evaluation: the worker routes
-through the same :func:`repro.service.solver.single_fault_solver`
+through the same :func:`repro.analysis.route_analysis`
 rule (the O(N) DP for series-parallel networks, the bitset kernel
 otherwise) over the same IR and the same pickled spec, so every float
 comes out of the same operation sequence (asserted end-to-end in
@@ -407,11 +407,9 @@ def _worker_main(worker_id: int, conn) -> None:
                         engine = CriticalityEngine(
                             _network_of(fp),
                             _spec_of(fp, seed),
-                            method=params.get("method", "fast"),
                             policy=params.get("policy", "max"),
                             jobs=0,
                             cache_dir=params.get("cache_dir"),
-                            backend=params.get("backend", "ir"),
                             chunk_lanes=params.get("chunk_lanes", 64),
                             max_cache_mb=params.get("max_cache_mb"),
                         )

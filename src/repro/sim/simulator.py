@@ -35,16 +35,12 @@ from ..analysis.faults import ControlCellBreak, Fault, MuxStuck, SegmentBreak
 
 Bit = Optional[int]  # 0, 1 or None (unknown / X)
 
-_PATH_BACKENDS = ("ir", "dict")
-
 
 class ScanSimulator:
     """Executable model of one RSN instance with optional injected faults.
 
-    ``path_backend`` selects how the active scan path is derived:
-    ``"ir"`` (default) walks the compiled IR's CSR predecessor rows;
-    ``"dict"`` is the original name-dict walk, kept as the reference for
-    the dict-vs-IR parity property tests.
+    The active scan path is derived by walking the compiled IR's CSR
+    predecessor rows.
     """
 
     def __init__(
@@ -52,17 +48,10 @@ class ScanSimulator:
         network: RsnNetwork,
         faults: Iterable[Fault] = (),
         assumed_ports: Optional[Mapping[str, int]] = None,
-        path_backend: str = "ir",
     ):
         network.validate()
-        if path_backend not in _PATH_BACKENDS:
-            raise SimulationError(
-                f"path_backend must be one of {_PATH_BACKENDS}, "
-                f"got {path_backend!r}"
-            )
         self.network = network
         self._ir = intern(network)
-        self._path_backend = path_backend
         self.broken: set = set()
         self.stuck: Dict[str, int] = {}
         assumed = dict(assumed_ports or {})
@@ -131,8 +120,6 @@ class ScanSimulator:
         Derived by walking backwards from the scan-out: the active chain is
         unique because every multiplexer propagates exactly one input.
         """
-        if self._path_backend == "dict":
-            return self._active_path_dict()
         ir = self._ir
         kinds = ir.kinds
         pred_indptr = ir.pred_indptr
@@ -155,27 +142,6 @@ class ScanSimulator:
         path_ids.reverse()
         names = ir.names
         return [names[i] for i in path_ids]
-
-    def _active_path_dict(self) -> List[str]:
-        """Reference implementation over the name-dict graph (pre-IR)."""
-        path = [self.network.scan_out]
-        current = self.network.scan_out
-        seen = {current}
-        while current != self.network.scan_in:
-            node = self.network.node(current)
-            if node.kind is NodeKind.MUX:
-                port = self.select_of(current)
-                current = self.network.predecessors(current)[port]
-            else:
-                current = self.network.predecessors(current)[0]
-            if current in seen:
-                raise SimulationError(
-                    f"active path loops through {current!r}"
-                )
-            seen.add(current)
-            path.append(current)
-        path.reverse()
-        return path
 
     def active_segments(self) -> List[ScanSegment]:
         """Segments on the active path, scan-in side first."""

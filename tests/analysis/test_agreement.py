@@ -1,14 +1,18 @@
-"""The central property test: three independent implementations of the
+"""The central property test: independent implementations of the
 fault-accessibility semantics must agree.
 
-1. ``FastDamageAnalysis``    — O(N) prefix-sum aggregates on the tree;
+1. ``FastDamageAnalysis``    — O(N) prefix-sum aggregates on the tree
+   (the ``dp`` route);
 2. ``ExplicitDamageAnalysis`` — literal per-fault effect sets;
 3. ``structural_access``      — configuration-enumerating scan-path oracle
-   (no decomposition tree involved at all).
+   (no decomposition tree involved at all);
+4. ``GraphDamageAnalysis``    — the lane-packed bitset kernel (the
+   ``bitset`` route), checked below against the per-fault BFS oracles.
 
-Plus the dict-vs-IR parity block: the compiled-IR backends of the graph
-analysis and the simulator must be *bit-identical* to the string-keyed
-reference backends, on series-parallel and non-series-parallel networks.
+Plus the reachability parity block: the bitset kernel and the
+simulator's compiled-IR path walk must be *bit-identical* to the
+test-only per-fault BFS oracles (``_reference_reach``), on
+series-parallel and non-series-parallel networks.
 """
 
 import random
@@ -16,8 +20,10 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from _reference_reach import ReferenceGraphAnalysis, reference_active_path
+
 from repro.analysis import analyze_damage
-from repro.analysis.damage import FastDamageAnalysis
+from repro.analysis.damage import ExplicitDamageAnalysis, FastDamageAnalysis
 from repro.analysis.effects import (
     control_cell_break_effect,
     mux_stuck_effect,
@@ -95,8 +101,8 @@ def _build_any(seed, bridge):
 @given(seed=seeds)
 def test_fast_equals_explicit_on_random_networks(seed):
     network, spec = _build(seed)
-    fast = analyze_damage(network, spec, method="fast")
-    explicit = analyze_damage(network, spec, method="explicit")
+    fast = analyze_damage(network, spec)
+    explicit = ExplicitDamageAnalysis(network, spec).report()
     assert fast.total == pytest.approx(explicit.total)
     for name, value in fast.primitive_damage.items():
         assert value == pytest.approx(
@@ -168,8 +174,8 @@ def test_fault_free_network_fully_accessible(seed):
 
 
 # ---------------------------------------------------------------------------
-# dict-vs-IR parity: the compiled-IR hot paths against the string-keyed
-# reference backends they replaced
+# reachability parity: the production paths against the per-fault BFS
+# oracles they replaced (IR-keyed and string-keyed)
 # ---------------------------------------------------------------------------
 def _all_faults(network):
     faults = []
@@ -182,36 +188,45 @@ def _all_faults(network):
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds, bridge=st.booleans())
 def test_graph_ir_backend_bit_identical_to_dict(seed, bridge):
-    """Damage reports of the IR-backed graph analysis equal the dict
-    reference exactly (not approximately) on SP and non-SP networks."""
+    """Damage reports of the bitset kernel and of the IR BFS oracle equal
+    the dict BFS oracle exactly (not approximately) on SP and non-SP
+    networks."""
     network, spec = _build_any(seed, bridge)
-    ir_report = GraphDamageAnalysis(network, spec, backend="ir").report()
-    dict_report = GraphDamageAnalysis(
+    dict_report = ReferenceGraphAnalysis(
         network, spec, backend="dict"
     ).report()
-    assert ir_report.primitive_damage == dict_report.primitive_damage
-    assert ir_report.unit_damage == dict_report.unit_damage
-    assert ir_report.total == dict_report.total
+    for report in (
+        ReferenceGraphAnalysis(network, spec, backend="ir").report(),
+        GraphDamageAnalysis(network, spec).report(),
+    ):
+        assert report.primitive_damage == dict_report.primitive_damage
+        assert report.unit_damage == dict_report.unit_damage
+        assert report.total == dict_report.total
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=seeds, bridge=st.booleans())
 def test_graph_ir_effect_sets_equal_dict(seed, bridge):
     network, spec = _build_any(seed, bridge)
-    via_ir = GraphDamageAnalysis(network, spec, backend="ir")
-    via_dict = GraphDamageAnalysis(network, spec, backend="dict")
+    via_dict = ReferenceGraphAnalysis(network, spec, backend="dict")
+    others = (
+        ReferenceGraphAnalysis(network, spec, backend="ir"),
+        GraphDamageAnalysis(network, spec),
+    )
     for fault in _all_faults(network):
-        effect_ir = via_ir.effect_of_fault(fault)
         effect_dict = via_dict.effect_of_fault(fault)
-        assert effect_ir.unobservable == effect_dict.unobservable, fault
-        assert effect_ir.unsettable == effect_dict.unsettable, fault
+        for analysis in others:
+            effect = analysis.effect_of_fault(fault)
+            assert effect.unobservable == effect_dict.unobservable, fault
+            assert effect.unsettable == effect_dict.unsettable, fault
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=seeds, bridge=st.booleans())
 def test_simulator_ir_path_backend_matches_dict(seed, bridge):
-    """Active paths and scan-out bit streams agree between the IR walk
-    and the name-dict walk, fault-free and under every single fault."""
+    """Active paths agree between the simulator's IR walk and the
+    name-dict oracle walk, fault-free and under a single fault, before
+    and after scan updates."""
     network, _ = _build_any(seed, bridge)
     rng = random.Random(seed)
     fault_sets = [[]]
@@ -219,17 +234,12 @@ def test_simulator_ir_path_backend_matches_dict(seed, bridge):
     if all_faults:
         fault_sets.append([all_faults[seed % len(all_faults)]])
     for faults in fault_sets:
-        sim_ir = ScanSimulator(network, faults=faults, path_backend="ir")
-        sim_dict = ScanSimulator(
-            network, faults=faults, path_backend="dict"
-        )
-        assert sim_ir.active_path() == sim_dict.active_path()
+        sim = ScanSimulator(network, faults=faults)
+        assert sim.active_path() == reference_active_path(sim)
         for _ in range(3):
             bits = [
-                rng.randint(0, 1)
-                for _ in range(sim_dict.path_length() + 2)
+                rng.randint(0, 1) for _ in range(sim.path_length() + 2)
             ]
-            assert sim_ir.shift(list(bits)) == sim_dict.shift(list(bits))
-            sim_ir.update()
-            sim_dict.update()
-            assert sim_ir.active_path() == sim_dict.active_path()
+            sim.shift(list(bits))
+            sim.update()
+            assert sim.active_path() == reference_active_path(sim)

@@ -1,16 +1,19 @@
 """Parity and property tests of the bit-parallel batch analysis.
 
-The bitset backend packs 64 fault lanes per ``uint64`` word and solves
+The bitset kernel packs 64 fault lanes per ``uint64`` word and solves
 reachability for all of them in vectorized topo-order sweeps; every damage
-it reports must be *bit-identical* (``==``, never approx) to the scalar
-``ir`` and ``dict`` backends, on series-parallel and non-series-parallel
-networks, for single faults, fault multisets and whole reports.
+it reports must be *bit-identical* (``==``, never approx) to the per-fault
+BFS oracles of ``_reference_reach`` (IR-keyed and string-keyed), on
+series-parallel and non-series-parallel networks, for single faults,
+fault multisets and whole reports.
 """
 
 import random
 
 import numpy as np
 import pytest
+from _nonsp_networks import stem_bridge_network
+from _reference_reach import ReferenceGraphAnalysis
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.batch import BatchFaultAnalysis
@@ -87,11 +90,12 @@ def _all_faults(network):
     return faults
 
 
-def _backends(network, spec, **kwargs):
+def _backends(network, spec):
+    """The bitset kernel, then the IR and dict BFS oracles."""
     return (
-        GraphDamageAnalysis(network, spec, backend="bitset", **kwargs),
-        GraphDamageAnalysis(network, spec, backend="ir", **kwargs),
-        GraphDamageAnalysis(network, spec, backend="dict", **kwargs),
+        GraphDamageAnalysis(network, spec),
+        ReferenceGraphAnalysis(network, spec, backend="ir"),
+        ReferenceGraphAnalysis(network, spec, backend="dict"),
     )
 
 
@@ -133,13 +137,13 @@ def test_succ_pred_slots_is_a_bijection_onto_pred_slots():
 
 
 # ---------------------------------------------------------------------------
-# bit-identical damage parity across all three backends
+# bit-identical damage parity: the kernel against both BFS oracles
 # ---------------------------------------------------------------------------
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds, bridge=st.booleans())
 def test_damage_vector_bit_identical_across_backends(seed, bridge):
     """The lane-packed damage of every fault in the universe equals the
-    per-fault scalar backends exactly, on SP and bridge networks."""
+    per-fault BFS oracles exactly, on SP and bridge networks."""
     network, spec = _build_any(seed, bridge)
     faults = _all_faults(network)
     bitset, via_ir, via_dict = _backends(network, spec)
@@ -278,11 +282,20 @@ def test_batched_cell_ports_on_mbist(chunk_lanes):
 
 
 def test_expected_damage_backends_agree():
+    """The Monte-Carlo estimate on the kernel equals the same campaign
+    run on the IR BFS oracle."""
+    from repro.campaigns import MonteCarloPlan, run_monte_carlo
+
     network, spec = _build(3)
-    kwargs = dict(defect_rate=0.05, samples=40, seed=7)
+    plan = MonteCarloPlan(
+        rates=(0.05,), samples=40, seed=7, sampler="scalar", bootstrap=0
+    )
+    oracle = run_monte_carlo(
+        ReferenceGraphAnalysis(network, spec), plan
+    )["records"][0]["mean_damage"]
     assert expected_damage_under_rate(
-        network, spec, backend="bitset", **kwargs
-    ) == expected_damage_under_rate(network, spec, backend="ir", **kwargs)
+        network, spec, defect_rate=0.05, samples=40, seed=7
+    ) == oracle
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +303,7 @@ def test_expected_damage_backends_agree():
 # ---------------------------------------------------------------------------
 def test_empty_fault_list():
     network, spec = _build(0)
-    analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+    analysis = GraphDamageAnalysis(network, spec)
     assert analysis.damage_vector([]).tolist() == []
     assert analysis.damage_of_fault_sets([]) == []
 
@@ -325,12 +338,8 @@ def test_tiny_chunks_equal_unchunked(seed, bridge):
     a chunk alone); results must not depend on the chunking."""
     network, spec = _build_any(seed, bridge)
     faults = _all_faults(network)
-    one = GraphDamageAnalysis(
-        network, spec, backend="bitset", chunk_lanes=1
-    )
-    big = GraphDamageAnalysis(
-        network, spec, backend="bitset", chunk_lanes=64
-    )
+    one = GraphDamageAnalysis(network, spec, chunk_lanes=1)
+    big = GraphDamageAnalysis(network, spec, chunk_lanes=64)
     assert one.damage_vector(faults).tolist() == (
         big.damage_vector(faults).tolist()
     )
@@ -384,29 +393,26 @@ def test_single_sweep_reaches_fixpoint(seed, bridge):
 # engine integration: lane-chunked parallel tasks
 # ---------------------------------------------------------------------------
 def test_engine_bitset_serial_matches_ir_engine():
-    network, spec = _build(11)
-    base = CriticalityEngine(network, spec, method="graph").report()
-    engine = CriticalityEngine(
-        network, spec, method="graph", backend="bitset"
-    )
+    """On a non-SP network the engine routes to the kernel, and its
+    report equals the IR BFS oracle's."""
+    network, spec = _build_bridge(11)
+    base = ReferenceGraphAnalysis(network, spec).report()
+    engine = CriticalityEngine(network, spec)
     report = engine.report()
     assert report.primitive_damage == base.primitive_damage
-    assert engine.stats.backend == "bitset"
+    assert engine.stats.route == "bitset"
     assert engine.stats.lanes > 0
     assert engine.stats.lane_chunks > 0
 
 
 def test_engine_bitset_parallel_matches_serial():
-    network, spec = _build(13)
-    serial = CriticalityEngine(
-        network, spec, method="graph", backend="bitset"
-    )
+    network = stem_bridge_network(12)
+    spec = random_spec(network.instrument_names(), seed=13)
+    serial = CriticalityEngine(network, spec)
     serial_report = serial.report()
     parallel = CriticalityEngine(
         network,
         spec,
-        method="graph",
-        backend="bitset",
         jobs=2,
         chunk_lanes=1,
         min_parallel_primitives=1,
@@ -425,32 +431,20 @@ def test_engine_bitset_parallel_matches_serial():
 
 
 def test_engine_rejects_backend_for_tree_methods():
-    from repro.errors import ReproError
-
+    """The engine has no backend (or method) selector any more: it
+    routes by regime, and a caller still passing one fails loudly
+    instead of being silently rerouted."""
     network, spec = _build(4)
-    with pytest.raises(ReproError):
-        CriticalityEngine(network, spec, method="fast", backend="bitset")
-
-
-def test_fingerprint_folds_backend():
-    from repro.analysis.engine import analysis_fingerprint
-
-    network, spec = _build(6)
-    assert analysis_fingerprint(
-        network, spec, "graph", "max", "all", "ir"
-    ) != analysis_fingerprint(
-        network, spec, "graph", "max", "all", "bitset"
-    )
+    with pytest.raises(TypeError):
+        CriticalityEngine(network, spec, backend="bitset")
 
 
 def test_stats_surface_lane_counters():
-    network, spec = _build(8)
-    engine = CriticalityEngine(
-        network, spec, method="graph", backend="bitset"
-    )
+    network, spec = _build_bridge(8)
+    engine = CriticalityEngine(network, spec)
     engine.report()
     as_dict = engine.stats.as_dict()
-    assert as_dict["backend"] == "bitset"
+    assert as_dict["route"] == "bitset"
     assert as_dict["lanes"] == engine.stats.lanes
     assert "fault lanes" in engine.stats.format()
 

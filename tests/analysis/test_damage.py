@@ -57,9 +57,7 @@ class TestFastAnalysisFaults:
     def test_policies(self, fig1_network, fig1_spec):
         values = {}
         for policy in ("max", "sum", "mean"):
-            report = analyze_damage(
-                fig1_network, fig1_spec, method="fast", policy=policy
-            )
+            report = analyze_damage(fig1_network, fig1_spec, policy=policy)
             values[policy] = report.primitive_damage["m0"]
         assert values["max"] >= values["mean"]
         assert values["sum"] == pytest.approx(
@@ -72,7 +70,9 @@ class TestFastAnalysisFaults:
             FastDamageAnalysis(fig1_network, fig1_spec, policy="median")
 
     def test_bad_method_rejected(self, fig1_network, fig1_spec):
-        with pytest.raises(ReproError):
+        """``analyze_damage`` routes by regime; a ``method=`` selector
+        fails loudly instead of being ignored."""
+        with pytest.raises(TypeError):
             analyze_damage(fig1_network, fig1_spec, method="magic")
 
 
@@ -145,7 +145,7 @@ class TestExplicitAnalysis:
 
     def test_zero_weight_spec_zero_damage(self, fig1_network):
         spec = CriticalitySpec({})
-        report = analyze_damage(fig1_network, spec, method="explicit")
+        report = ExplicitDamageAnalysis(fig1_network, spec).report()
         assert report.total == 0.0
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import analyze_damage
+from repro.analysis import GraphDamageAnalysis, analyze_damage
 from repro.core import SelectiveHardening
 from repro.errors import ReproError
 from repro.spec import spec_for_network
@@ -57,9 +57,7 @@ class TestSiteAccounting:
     def test_graph_method_supports_sites(self, setup):
         network, spec = setup
         tree_based = analyze_damage(network, spec, sites="mux")
-        graph_based = analyze_damage(
-            network, spec, method="graph", sites="mux"
-        )
+        graph_based = GraphDamageAnalysis(network, spec).report(sites="mux")
         assert tree_based.total == pytest.approx(graph_based.total)
 
 

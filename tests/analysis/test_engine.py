@@ -3,9 +3,10 @@
 Contracts under test:
 
 * the engine (serial and parallel) is bit-identical to
-  :func:`repro.analysis.analyze_damage` for every method / site filter;
+  :func:`repro.analysis.analyze_damage` and to every reference
+  implementation, for every site filter;
 * the disk cache round-trips reports and is invalidated by any change to
-  the network, the spec, the policy/sites/method or the analysis version;
+  the network, the spec, the policy/sites or the analysis version;
 * an unavailable worker pool degrades gracefully to the serial path;
 * the stats instrumentation reports what actually happened.
 """
@@ -17,7 +18,12 @@ import os
 
 import pytest
 
-from repro.analysis import analyze_damage
+from repro.analysis import (
+    ExplicitDamageAnalysis,
+    FastDamageAnalysis,
+    GraphDamageAnalysis,
+    analyze_damage,
+)
 from repro.analysis import engine as engine_mod
 from repro.analysis.engine import (
     CriticalityEngine,
@@ -30,6 +36,13 @@ from repro.errors import ReproError
 from repro.spec import spec_for_network
 
 PARITY_DESIGNS = ["TreeFlat", "q12710", "MBIST_1_5_5"]
+
+#: The reference implementations the routed engine must reproduce.
+REFERENCES = {
+    "fast": FastDamageAnalysis,
+    "explicit": ExplicitDamageAnalysis,
+    "graph": GraphDamageAnalysis,
+}
 
 
 def _setup(design, seed=0):
@@ -76,16 +89,20 @@ class TestParity:
             == reference.primitive_damage
         )
 
-    @pytest.mark.parametrize("method", ["fast", "explicit", "graph"])
+    @pytest.mark.parametrize("method", sorted(REFERENCES))
     def test_methods_match_reference(self, method):
         network, spec = _setup("TreeFlat")
-        reference = analyze_damage(network, spec, method=method)
-        report = CriticalityEngine(network, spec, method=method).report()
+        reference = REFERENCES[method](network, spec).report()
+        engine = CriticalityEngine(network, spec)
+        report = engine.report()
+        assert engine.stats.route == "dp"
         assert report.primitive_damage == reference.primitive_damage
 
     def test_unknown_method_rejected(self):
+        """No method selector: the engine routes by regime, and a caller
+        still passing ``method=`` fails loudly."""
         network, spec = _setup("TreeFlat")
-        with pytest.raises(ReproError):
+        with pytest.raises(TypeError):
             CriticalityEngine(network, spec, method="bogus")
 
     def test_convenience_wrapper(self):
@@ -124,7 +141,7 @@ class TestDiskCache:
             "fingerprint": first.stats.cache_key,
             "analysis_version": engine_mod.ANALYSIS_VERSION,
             "network": network.name,
-            "method": first.method,
+            "route": "dp",
             "policy": first.policy,
             "primitive_damage": report.primitive_damage,
             "unit_damage": report.unit_damage,
@@ -169,7 +186,6 @@ class TestDiskCache:
         base = analysis_fingerprint(network, spec)
         assert analysis_fingerprint(network, spec, policy="sum") != base
         assert analysis_fingerprint(network, spec, sites="mux") != base
-        assert analysis_fingerprint(network, spec, method="graph") != base
         # deterministic: rebuilding the same design reproduces the key
         network2, spec2 = _setup("TreeFlat")
         assert analysis_fingerprint(network2, spec2) == base
@@ -229,40 +245,55 @@ class TestSpawnPayload:
         from repro.rsn.network import RsnNetwork
 
         network, spec = _setup("q12710")
-        payload = engine_mod._spawn_payload(
-            intern(network), spec, "fast", "max"
-        )
-        ir, spec_out, method, policy, backend, chunk_lanes = (
-            pickle.loads(payload)
-        )
+        payload = engine_mod._spawn_payload(intern(network), spec, "max")
+        ir, spec_out, policy, chunk_lanes = pickle.loads(payload)
         assert isinstance(ir, CompiledNetwork)
         assert not isinstance(ir, RsnNetwork)
         assert ir.fingerprint == intern(network).fingerprint
-        assert (method, policy) == ("fast", "max")
-        assert (backend, chunk_lanes) == ("ir", 64)
+        assert (policy, chunk_lanes) == ("max", 64)
         assert spec_out.to_dict() == spec.to_dict()
         # the IR payload is the smaller wire format
-        dict_payload = pickle.dumps((network, spec, "fast", "max"))
+        dict_payload = pickle.dumps((network, spec, "max"))
         assert len(payload) < len(dict_payload)
 
-    @pytest.mark.parametrize("method", ["fast", "explicit", "graph"])
-    def test_spawn_worker_reproduces_serial_damages(self, method):
+    @staticmethod
+    def _spawned_damages(network, spec, names):
+        """``(route, damages)`` of a worker rebuilt from the payload."""
         from repro.ir import intern
 
-        network, spec = _setup("TreeFlat")
-        serial = CriticalityEngine(network, spec, method=method).report()
-        payload = engine_mod._spawn_payload(
-            intern(network), spec, method, "max"
-        )
+        payload = engine_mod._spawn_payload(intern(network), spec, "max")
         previous = engine_mod._WORKER_ANALYSIS
         try:
             engine_mod._worker_init(payload)
-            names = list(serial.primitive_damage)
+            route = engine_mod._WORKER_ANALYSIS.route
             _, _, _, damages, spans = engine_mod._worker_chunk(names)
             assert spans == []  # no carrier shipped: no span payloads
         finally:
             engine_mod._WORKER_ANALYSIS = previous
-        assert dict(zip(names, damages)) == serial.primitive_damage
+        return route, dict(zip(names, damages))
+
+    @pytest.mark.parametrize("method", sorted(REFERENCES))
+    def test_spawn_worker_reproduces_serial_damages(self, method):
+        network, spec = _setup("TreeFlat")
+        serial = REFERENCES[method](network, spec).report()
+        route, damages = self._spawned_damages(
+            network, spec, list(serial.primitive_damage)
+        )
+        assert route == "dp"
+        assert damages == serial.primitive_damage
+
+    def test_spawn_worker_routes_non_sp_to_bitset(self):
+        from _nonsp_networks import stem_bridge_network
+        from _reference_reach import ReferenceGraphAnalysis
+
+        network = stem_bridge_network(2)
+        spec = spec_for_network(network, seed=0)
+        serial = ReferenceGraphAnalysis(network, spec).report()
+        route, damages = self._spawned_damages(
+            network, spec, list(serial.primitive_damage)
+        )
+        assert route == "bitset"
+        assert damages == serial.primitive_damage
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import (
     GraphDamageAnalysis,
     analyze_damage,
-    analyze_damage_graph,
 )
 from repro.analysis.faults import ControlCellBreak, MuxStuck, SegmentBreak
 from repro.bench.generators import random_network
@@ -45,8 +44,8 @@ def bridge_network():
 
 class TestOnSeriesParallel:
     def test_matches_fast_on_fig1(self, fig1_network, fig1_spec):
-        fast = analyze_damage(fig1_network, fig1_spec, method="fast")
-        graph = analyze_damage(fig1_network, fig1_spec, method="graph")
+        fast = analyze_damage(fig1_network, fig1_spec)
+        graph = GraphDamageAnalysis(fig1_network, fig1_spec).report()
         assert fast.total == pytest.approx(graph.total)
         for name in fast.primitive_damage:
             assert fast.primitive_damage[name] == pytest.approx(
@@ -60,8 +59,8 @@ class TestOnSeriesParallel:
             random_network(seed=seed, max_depth=2, max_items=3)
         )
         spec = random_spec(network.instrument_names(), seed=seed)
-        fast = analyze_damage(network, spec, method="fast")
-        graph = analyze_damage(network, spec, method="graph")
+        fast = analyze_damage(network, spec)
+        graph = GraphDamageAnalysis(network, spec).report()
         for name in fast.primitive_damage:
             assert fast.primitive_damage[name] == pytest.approx(
                 graph.primitive_damage[name]
@@ -69,11 +68,28 @@ class TestOnSeriesParallel:
 
 
 class TestOnBridge:
+    def test_backend_keyword_accepts_only_bitset(self):
+        """``backend=`` survives with one value, for callers that still
+        spell it; anything else is an error, not a silent reroute."""
+        from repro.errors import ReproError
+
+        network = bridge_network()
+        spec = uniform_spec(network.instrument_names())
+        assert GraphDamageAnalysis(network, spec, backend="bitset").route == (
+            "bitset"
+        )
+        for backend in ("ir", "dict"):
+            with pytest.raises(ReproError):
+                GraphDamageAnalysis(network, spec, backend=backend)
+
     def test_report_computes(self):
         network = bridge_network()
         spec = uniform_spec(network.instrument_names())
-        report = analyze_damage_graph(network, spec)
+        report = analyze_damage(network, spec)
         assert report.total > 0
+        assert report.primitive_damage == (
+            GraphDamageAnalysis(network, spec).report().primitive_damage
+        )
 
     def test_a_has_redundant_routes(self):
         """The physical point of the bridge: 'a' reaches m2 directly AND

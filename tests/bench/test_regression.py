@@ -22,32 +22,18 @@ from repro.bench.regression import (
 )
 from repro.cli import main
 
-#: Small enough that one serial 'fast' report is milliseconds.
+#: Small enough that one cold population sweep is milliseconds.
 TINY = {"n_segments": 24, "n_muxes": 3}
 
 
-def _criticality_baseline(serial_seconds: float) -> dict:
+def _ea_baseline(eval_seconds: float) -> dict:
     return {
-        "benchmark": "criticality-engine",
+        "benchmark": "ea-population",
         "designs": [
             {
                 "design": "mbist_24_3",
-                "method": "fast",
-                "faults": 100,
-                "serial": {"seconds": serial_seconds},
-                **TINY,
-            }
-        ],
-    }
-
-
-def _batch_baseline(bitset_seconds: float) -> dict:
-    return {
-        "benchmark": "bitset-batch-analysis",
-        "designs": [
-            {
-                "design": "mbist_24_3",
-                "bitset_seconds": bitset_seconds,
+                "population": 16,
+                "batched_eval_seconds": eval_seconds,
                 **TINY,
             }
         ],
@@ -89,36 +75,38 @@ class TestParsing:
             load_hot_paths(str(path))
 
     def test_unknown_benchmark_kind_is_a_parse_error(self, tmp_path):
-        payload = _criticality_baseline(1.0)
+        payload = _ea_baseline(1.0)
         payload["benchmark"] = "who-knows"
         with pytest.raises(RegressionParseError, match="who-knows"):
             load_hot_paths(_write(tmp_path, payload))
 
     def test_missing_row_key_is_a_parse_error(self, tmp_path):
-        payload = _criticality_baseline(1.0)
-        del payload["designs"][0]["method"]
-        with pytest.raises(RegressionParseError, match="method"):
+        payload = _ea_baseline(1.0)
+        del payload["designs"][0]["population"]
+        with pytest.raises(RegressionParseError, match="population"):
             load_hot_paths(_write(tmp_path, payload))
 
     def test_missing_timing_is_a_parse_error(self, tmp_path):
-        payload = _criticality_baseline(1.0)
-        payload["designs"][0]["serial"] = {}
-        with pytest.raises(RegressionParseError, match="serial.seconds"):
+        payload = _ea_baseline(1.0)
+        del payload["designs"][0]["batched_eval_seconds"]
+        with pytest.raises(
+            RegressionParseError, match="batched_eval_seconds"
+        ):
             load_hot_paths(_write(tmp_path, payload))
 
     def test_empty_designs_is_a_parse_error(self, tmp_path):
         with pytest.raises(RegressionParseError, match="designs"):
             load_hot_paths(
-                _write(tmp_path, {"benchmark": "criticality-engine"})
+                _write(tmp_path, {"benchmark": "ea-population"})
             )
 
     def test_hot_paths_carry_metric_and_params(self, tmp_path):
-        path = _write(tmp_path, _criticality_baseline(0.5))
+        path = _write(tmp_path, _ea_baseline(0.5))
         benchmark, (hot_path,) = load_hot_paths(path)
-        assert benchmark == "criticality-engine"
-        assert hot_path.label == "mbist_24_3/serial/fast"
+        assert benchmark == "ea-population"
+        assert hot_path.label == "mbist_24_3/ea_batched_eval"
         assert hot_path.baseline_seconds == 0.5
-        assert hot_path.params == {"method": "fast"}
+        assert hot_path.params == {"population": 16}
 
     def test_telemetry_rows_parse_with_per_path_tolerance(self, tmp_path):
         path = _write(tmp_path, _telemetry_baseline(1.0, tolerance=0.07))
@@ -136,13 +124,13 @@ class TestParsing:
 
     def test_other_kinds_carry_no_tolerance_override(self, tmp_path):
         _, (hot_path,) = load_hot_paths(
-            _write(tmp_path, _criticality_baseline(1.0))
+            _write(tmp_path, _ea_baseline(1.0))
         )
         assert hot_path.tolerance is None
 
     def test_real_baselines_parse(self):
         results = Path(__file__).resolve().parents[2] / "results"
-        for name in ("criticality", "batch", "ir", "telemetry"):
+        for name in ("ea", "ea_lowering", "service", "campaigns", "telemetry"):
             benchmark, hot_paths = load_hot_paths(
                 str(results / f"BENCH_{name}.json")
             )
@@ -151,7 +139,7 @@ class TestParsing:
 
 class TestComparison:
     def test_huge_baseline_passes(self, tmp_path):
-        path = _write(tmp_path, _criticality_baseline(1e6))
+        path = _write(tmp_path, _ea_baseline(1e6))
         report = compare_baseline(path, repeats=1)
         assert report.ok
         (comparison,) = report.comparisons
@@ -159,28 +147,22 @@ class TestComparison:
         assert not comparison.regressed(0.2)
 
     def test_tiny_baseline_regresses(self, tmp_path):
-        path = _write(tmp_path, _criticality_baseline(1e-9))
+        path = _write(tmp_path, _ea_baseline(1e-9))
         report = compare_baseline(path, repeats=1)
         assert not report.ok
         (comparison,) = report.comparisons
         assert comparison.regressed(0.2)
         assert "REGRESSED" in report.format()
 
-    def test_bitset_metric_measures(self, tmp_path):
-        path = _write(tmp_path, _batch_baseline(1e6))
-        report = compare_baseline(path, repeats=1)
-        assert report.ok
-        assert report.benchmark == "bitset-batch-analysis"
-
     def test_max_segments_skips_loudly(self, tmp_path):
-        payload = _criticality_baseline(1e6)
+        payload = _ea_baseline(1e6)
         payload["designs"].append(
             {
                 "design": "mbist_99999_9",
-                "method": "fast",
+                "population": 16,
                 "n_segments": 99999,
                 "n_muxes": 9,
-                "serial": {"seconds": 1.0},
+                "batched_eval_seconds": 1.0,
             }
         )
         path = _write(tmp_path, payload)
@@ -191,21 +173,23 @@ class TestComparison:
         assert "skipped" in report.format()
 
     def test_zero_baseline_counts_as_regression(self, tmp_path):
-        path = _write(tmp_path, _criticality_baseline(0.0))
+        path = _write(tmp_path, _ea_baseline(0.0))
         report = compare_baseline(path, repeats=1)
         (comparison,) = report.comparisons
         assert comparison.ratio == float("inf")
         assert not report.ok
 
     def test_as_dict_is_json_serializable(self, tmp_path):
-        path = _write(tmp_path, _criticality_baseline(1e6))
+        path = _write(tmp_path, _ea_baseline(1e6))
         report = compare_baseline(path, repeats=1)
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["ok"] is True
-        assert payload["comparisons"][0]["label"] == "mbist_24_3/serial/fast"
+        assert payload["comparisons"][0]["label"] == (
+            "mbist_24_3/ea_batched_eval"
+        )
 
     def test_measure_uses_the_best_of_repeats(self, tmp_path):
-        path = _write(tmp_path, _criticality_baseline(1e6))
+        path = _write(tmp_path, _ea_baseline(1e6))
         _, (hot_path,) = load_hot_paths(path)
         single = measure_hot_path(hot_path, repeats=1)
         best = measure_hot_path(hot_path, repeats=3)
@@ -248,15 +232,15 @@ class TestComparison:
 
 class TestCliExitCodes:
     def test_ok_run_exits_zero(self, tmp_path):
-        path = _write(tmp_path, _criticality_baseline(1e6))
+        path = _write(tmp_path, _ea_baseline(1e6))
         assert main(["bench-diff", path, "--repeats", "1"]) == 0
 
     def test_regression_exits_one(self, tmp_path):
-        path = _write(tmp_path, _criticality_baseline(1e-9))
+        path = _write(tmp_path, _ea_baseline(1e-9))
         assert main(["bench-diff", path, "--repeats", "1"]) == 1
 
     def test_soft_mode_reports_but_passes(self, tmp_path, capsys):
-        path = _write(tmp_path, _criticality_baseline(1e-9))
+        path = _write(tmp_path, _ea_baseline(1e-9))
         assert (
             main(["bench-diff", path, "--repeats", "1", "--soft"]) == 0
         )
@@ -269,6 +253,6 @@ class TestCliExitCodes:
         assert main(["bench-diff", path, "--soft"]) == 2
 
     def test_multiple_baselines_worst_exit_wins(self, tmp_path):
-        good = _write(tmp_path, _criticality_baseline(1e6), "good.json")
-        bad = _write(tmp_path, _criticality_baseline(1e-9), "bad.json")
+        good = _write(tmp_path, _ea_baseline(1e6), "good.json")
+        bad = _write(tmp_path, _ea_baseline(1e-9), "bad.json")
         assert main(["bench-diff", good, bad, "--repeats", "1"]) == 1

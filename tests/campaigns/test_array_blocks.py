@@ -4,13 +4,14 @@ Both samplers emit :class:`FaultSetBlock` s — ``(lane, candidate)``
 pairs into one flat candidate table — which the bitset kernel lowers
 straight to packed lane masks.  Every lane's damage must equal, with
 ``==``, the damage of the same draw materialized as a plain ``Fault``
-list on every backend, including lanes where an explicit mux pin and
+list, on the kernel and on both per-fault BFS oracles, including lanes where an explicit mux pin and
 the broken control cell driving that mux co-occur.
 """
 
 import random
 
 import numpy as np
+from _reference_reach import ReferenceGraphAnalysis
 from hypothesis import given, settings, strategies as st
 
 import repro.campaigns.montecarlo as montecarlo
@@ -37,7 +38,6 @@ from repro.rsn.primitives import ControlUnit, SegmentRole
 from repro.spec import random_spec, spec_for_network
 
 seeds = st.integers(min_value=0, max_value=50_000)
-BACKENDS = ("bitset", "ir", "dict")
 
 
 def _build_sp(seed):
@@ -77,11 +77,11 @@ def _build_bridge(seed):
 
 
 def _analyses(network, spec, chunk_lanes=64):
+    """The bitset kernel and the IR / dict BFS oracles, by name."""
     return {
-        backend: GraphDamageAnalysis(
-            network, spec, backend=backend, chunk_lanes=chunk_lanes
-        )
-        for backend in BACKENDS
+        "bitset": GraphDamageAnalysis(network, spec, chunk_lanes=chunk_lanes),
+        "ir": ReferenceGraphAnalysis(network, spec, backend="ir"),
+        "dict": ReferenceGraphAnalysis(network, spec, backend="dict"),
     }
 
 
@@ -167,7 +167,7 @@ def test_explicit_pin_beats_broken_cell_on_same_mux():
 
 def test_block_sequence_and_slices():
     network, spec = _build_sp(7)
-    analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+    analysis = GraphDamageAnalysis(network, spec)
     table = candidate_table(analysis)
     block = vectorized_samples(table, 0.3, 40, block_rng(1, 0, 0))
     lists = [block[i] for i in range(len(block))]
@@ -194,14 +194,14 @@ def test_candidate_table_layout():
 # ---------------------------------------------------------------------------
 def test_table_and_spec_token_cached_per_analysis():
     network, spec = _build_bridge(4)
-    analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+    analysis = GraphDamageAnalysis(network, spec)
     assert candidate_table(analysis) is candidate_table(analysis)
     hardened = candidate_table(analysis, ("unit.sel1",))
     assert hardened is candidate_table(analysis, ["unit.sel1"])
     assert len(hardened.sites) == len(candidate_table(analysis).sites) - 3
     token = spec_token(analysis)
     assert spec_token(analysis) == token
-    other = GraphDamageAnalysis(network, spec, backend="ir")
+    other = ReferenceGraphAnalysis(network, spec)
     assert candidate_table(other) is not candidate_table(analysis)
     assert spec_token(other) == token
 

@@ -1,10 +1,11 @@
 """Diagnosis campaign tests: packed-matrix ranking parity against the
-scalar per-fault loop, effect-signature parity across backends, packing
+scalar per-fault loop, effect-signature parity against the BFS oracle, packing
 round-trips, ambiguity statistics and checkpoint/resume determinism.
 """
 
 import numpy as np
 import pytest
+from _reference_reach import ReferenceGraphAnalysis
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.faults import fault_sort_key, iter_all_faults
@@ -58,7 +59,7 @@ class TestPacking:
     def test_unknown_positions_count_into_union_only(self):
         network = fig1_example()
         spec = spec_for_network(network, seed=0)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         matrix = effect_signature_matrix(analysis)
         sets = _matrix_sets(matrix)
         fault = matrix.faults[0]
@@ -77,7 +78,7 @@ class TestBatchedScalarParity:
     @given(seed=seeds, obs_seed=st.integers(0, 10_000))
     def test_rank_matches_scalar_loop(self, seed, obs_seed):
         network, spec = _build(seed)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         matrix = effect_signature_matrix(analysis)
         sets = _matrix_sets(matrix)
         rng = np.random.default_rng(obs_seed)
@@ -96,7 +97,7 @@ class TestBatchedScalarParity:
 
     def test_row_order_is_structural(self):
         network, spec = _build(1)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         matrix = effect_signature_matrix(analysis)
         keys = [fault_sort_key(f) for f in matrix.faults]
         assert keys == sorted(keys)
@@ -105,7 +106,7 @@ class TestBatchedScalarParity:
         """Empty-vs-empty is a perfect match (score 1.0); empty-vs-
         non-empty scores 0 — same as the scalar set arithmetic."""
         network, spec = _build(2)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         matrix = effect_signature_matrix(analysis)
         sets = _matrix_sets(matrix)
         assert matrix.rank([frozenset()], top=len(matrix))[
@@ -118,14 +119,14 @@ class TestEffectSignatures:
     @given(seed=seeds)
     def test_kernel_effects_match_scalar_backend(self, seed):
         """The lane-packed ``fault_effect_bits`` path (bitset) and the
-        per-fault ``effect_of_fault`` path (ir) build identical
-        matrices."""
+        per-fault ``effect_of_fault`` path over the IR BFS oracle build
+        identical matrices."""
         network, spec = _build(seed)
         bitset = effect_signature_matrix(
-            GraphDamageAnalysis(network, spec, backend="bitset")
+            GraphDamageAnalysis(network, spec)
         )
         scalar = effect_signature_matrix(
-            GraphDamageAnalysis(network, spec, backend="ir")
+            ReferenceGraphAnalysis(network, spec)
         )
         assert bitset.faults == scalar.faults
         assert bitset.labels == scalar.labels
@@ -133,7 +134,7 @@ class TestEffectSignatures:
 
     def test_effects_match_effect_of_fault(self):
         network, spec = _build(4)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         matrix = effect_signature_matrix(analysis)
         sets = _matrix_sets(matrix)
         for fault in list(iter_all_faults(network))[:20]:
@@ -146,7 +147,7 @@ class TestEffectSignatures:
     def test_sequence_matrix_on_fig1(self):
         network = fig1_example()
         spec = spec_for_network(network, seed=0)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         matrix = sequence_signature_matrix(analysis)
         assert len(matrix) == len(list(iter_all_faults(network)))
 
@@ -154,7 +155,7 @@ class TestEffectSignatures:
 class TestAmbiguity:
     def test_groups_sorted_and_disjoint(self):
         network, spec = _build(6)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         matrix = effect_signature_matrix(analysis)
         groups = matrix.ambiguity_groups()
         sizes = [len(g) for g in groups]
@@ -169,7 +170,7 @@ class TestAmbiguity:
 
     def test_resolution_accounts_for_groups(self):
         network, spec = _build(6)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         matrix = effect_signature_matrix(analysis)
         detected = int((matrix.sizes > 0).sum())
         ambiguous = sum(len(g) for g in matrix.ambiguity_groups())
@@ -180,7 +181,7 @@ class TestCampaign:
     def test_summary_fields_and_determinism(self):
         network = build_design("TreeFlat")
         spec = spec_for_network(network, seed=0)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         plan = DiagnosisPlan(observations=90, seed=0, block_lanes=32)
         first = run_diagnosis(analysis, plan)
         second = run_diagnosis(analysis, plan)
@@ -197,7 +198,7 @@ class TestCampaign:
         resolution: a uniquely-signed truth always ranks first."""
         network = build_design("TreeFlat")
         spec = spec_for_network(network, seed=0)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         matrix = effect_signature_matrix(analysis)
         result = run_diagnosis(
             analysis, DiagnosisPlan(observations=200, seed=1)
@@ -210,7 +211,7 @@ class TestCampaign:
     def test_noise_plan_deterministic(self):
         network = build_design("TreeFlat")
         spec = spec_for_network(network, seed=0)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         plan = DiagnosisPlan(observations=64, seed=2, noise=0.3)
         assert (
             run_diagnosis(analysis, plan)["summary"]
@@ -220,7 +221,7 @@ class TestCampaign:
     def test_checkpoint_resume_bit_identical(self, tmp_path):
         network = build_design("TreeFlat")
         spec = spec_for_network(network, seed=0)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         plan = DiagnosisPlan(observations=96, seed=3, block_lanes=16)
         reference = run_diagnosis(analysis, plan)
         assert reference["blocks_total"] == 6
@@ -250,7 +251,7 @@ class TestCampaign:
     def test_shared_matrix_short_circuit(self):
         network = build_design("TreeFlat")
         spec = spec_for_network(network, seed=0)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         matrix = effect_signature_matrix(analysis)
         plan = DiagnosisPlan(observations=30, seed=0)
         direct = run_diagnosis(analysis, plan)

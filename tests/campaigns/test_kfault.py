@@ -11,6 +11,7 @@ import random
 from itertools import combinations
 
 import pytest
+from _reference_reach import ReferenceGraphAnalysis
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.graph_analysis import GraphDamageAnalysis
@@ -74,9 +75,11 @@ class TestParity:
         network, spec = (
             _build_bridge(seed) if bridge else _build(seed)
         )
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         universe = fault_universe(network, "all")
-        combos, direct = _direct(analysis, universe, 2)
+        combos, direct = _direct(
+            ReferenceGraphAnalysis(network, spec), universe, 2
+        )
         result = run_k_fault(analysis, KFaultPlan(k=2, top=10))
         summary = result["summary"]
         assert summary["combinations_evaluated"] == len(combos)
@@ -96,9 +99,11 @@ class TestParity:
 
     def test_k1_matches_single_fault_damages(self):
         network, spec = _build(7)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         universe = fault_universe(network, "all")
-        singles = analysis.damage_of_fault_sets([(f,) for f in universe])
+        singles = ReferenceGraphAnalysis(network, spec).damage_of_fault_sets(
+            [(f,) for f in universe]
+        )
         result = run_k_fault(analysis, KFaultPlan(k=1, top=5))
         assert result["summary"]["max_damage"] == max(singles)
 
@@ -109,7 +114,7 @@ class TestBlockBoundaries:
         """Results are invariant when blocks split exactly at, just
         below, and just above the 64-lane word boundary."""
         network, spec = _build(3)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         baseline = run_k_fault(analysis, KFaultPlan(k=2, top=8))
         result = run_k_fault(
             analysis, KFaultPlan(k=2, top=8, block_lanes=block_lanes)
@@ -121,7 +126,7 @@ class TestBlockBoundaries:
         cap the enumeration to exactly 63, 64 and 65 combinations and
         check each against the direct prefix."""
         network, spec = _build(9)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         universe = fault_universe(network, "all")
         total = math.comb(len(universe), 2)
         combos, direct = _direct(analysis, universe, 2)
@@ -145,7 +150,7 @@ class TestBlockBoundaries:
 class TestBudgets:
     def test_time_budget_truncates(self):
         network, spec = _build(5)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         # One combination per block, and a deadline that expires before
         # the second block starts.
         result = run_k_fault(
@@ -158,7 +163,7 @@ class TestBudgets:
 
     def test_cardinality_budget_marks_truncated(self):
         network, spec = _build(5)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         result = run_k_fault(
             analysis, KFaultPlan(k=2, top=5, max_combinations=10)
         )
@@ -170,7 +175,7 @@ class TestBudgets:
 class TestCheckpointResume:
     def test_resume_bit_identical(self, tmp_path):
         network, spec = _build(13)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         plan = KFaultPlan(k=2, top=8, block_lanes=16)
         reference = run_k_fault(analysis, plan)
         assert reference["blocks_total"] > 3
@@ -199,7 +204,7 @@ class TestCheckpointResume:
 
     def test_fully_checkpointed_run_replays_everything(self, tmp_path):
         network, spec = _build(13)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         plan = KFaultPlan(k=2, top=8, block_lanes=16)
         path = str(tmp_path / "kfault.jsonl")
         first = run_k_fault(analysis, plan, checkpoint_path=path)

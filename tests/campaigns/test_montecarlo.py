@@ -9,6 +9,7 @@ and a resumed campaign must reproduce an uninterrupted one.
 import random
 
 import pytest
+from _reference_reach import ReferenceGraphAnalysis
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.faults import faults_of_primitive
@@ -33,10 +34,10 @@ def _build(seed):
     return network, spec
 
 
-def _old_expected_damage(network, spec, rate, samples, seed, backend):
-    """The pre-campaign implementation, preserved verbatim as the
-    seed-for-seed oracle."""
-    analysis = GraphDamageAnalysis(network, spec, backend=backend)
+def _old_expected_damage(network, spec, rate, samples, seed):
+    """The pre-campaign implementation, preserved as the seed-for-seed
+    oracle (solved on the IR BFS oracle instead of the kernel)."""
+    analysis = ReferenceGraphAnalysis(network, spec)
     sites = [
         node.name
         for node in network.nodes()
@@ -80,7 +81,7 @@ class TestScalarParity:
         network, spec = _build(seed)
         rate = random.Random(rate_seed).choice([0.005, 0.02, 0.1, 0.5])
         old = _old_expected_damage(
-            network, spec, rate, samples=40, seed=rate_seed, backend="bitset"
+            network, spec, rate, samples=40, seed=rate_seed
         )
         new = expected_damage_under_rate(
             network, spec, rate, samples=40, seed=rate_seed
@@ -92,7 +93,7 @@ class TestScalarParity:
         spec = spec_for_network(network, seed=0)
         for rate, seed in ((0.01, 0), (0.05, 3), (0.2, 7)):
             old = _old_expected_damage(
-                network, spec, rate, samples=60, seed=seed, backend="bitset"
+                network, spec, rate, samples=60, seed=seed
             )
             new = expected_damage_under_rate(
                 network, spec, rate, samples=60, seed=seed
@@ -104,7 +105,7 @@ class TestScalarParity:
         blocks slice the same materialized sample list."""
         network = build_design("TreeFlat")
         spec = spec_for_network(network, seed=0)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         results = []
         for block_lanes in (63, 64, 65, None):
             plan = MonteCarloPlan(
@@ -130,7 +131,7 @@ class TestVectorizedSampler:
     def test_deterministic_across_runs(self):
         network = build_design("TreeFlat")
         spec = spec_for_network(network, seed=0)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         plan = MonteCarloPlan(
             rates=(0.01, 0.05), samples=200, seed=1, sampler="vectorized"
         )
@@ -140,9 +141,9 @@ class TestVectorizedSampler:
 
     def test_backend_independent_stream(self):
         """The vectorized sampler never touches kernel state, so the same
-        plan gives the same damage on every lane of every block, on every
-        backend (the bitset backend reads the array-form blocks directly,
-        the scalar backends their materialized fault lists)."""
+        plan gives the same damage on every lane of every block on the
+        kernel (which reads the array-form blocks directly) and on both
+        BFS oracles (which read their materialized fault lists)."""
         network, spec = _build(11)
         plan = MonteCarloPlan(
             rates=(0.1,), samples=64, seed=5, sampler="vectorized",
@@ -150,8 +151,11 @@ class TestVectorizedSampler:
         )
         lanes = {}
         means = []
-        for backend in ("bitset", "ir", "dict"):
-            analysis = GraphDamageAnalysis(network, spec, backend=backend)
+        for backend, analysis in (
+            ("bitset", GraphDamageAnalysis(network, spec)),
+            ("ir", ReferenceGraphAnalysis(network, spec, backend="ir")),
+            ("dict", ReferenceGraphAnalysis(network, spec, backend="dict")),
+        ):
             lanes[backend] = _record_lanes(analysis)
             means.append(
                 run_monte_carlo(analysis, plan)["records"][0]["mean_damage"]
@@ -163,7 +167,7 @@ class TestVectorizedSampler:
     def test_bootstrap_ci_deterministic_and_ordered(self):
         network = build_design("TreeFlat")
         spec = spec_for_network(network, seed=0)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         plan = MonteCarloPlan(
             rates=(0.05,), samples=100, seed=3, bootstrap=100
         )
@@ -180,7 +184,7 @@ class TestVectorizedSampler:
         faults the remaining primitives."""
         network = build_design("TreeFlat")
         spec = spec_for_network(network, seed=0)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         all_sites = run_monte_carlo(
             analysis,
             MonteCarloPlan(rates=(1.0,), samples=8, seed=0, bootstrap=0),
@@ -213,7 +217,7 @@ class TestCheckpointResume:
     def test_killed_campaign_resumes_bit_identical(self, tmp_path, sampler):
         network = build_design("TreeFlat")
         spec = spec_for_network(network, seed=0)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         plan = self._plan(sampler)
         reference = run_monte_carlo(analysis, plan)
         assert reference["blocks_total"] > 4
@@ -246,7 +250,7 @@ class TestCheckpointResume:
     def test_no_resume_recomputes(self, tmp_path):
         network = build_design("TreeFlat")
         spec = spec_for_network(network, seed=0)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         plan = self._plan("vectorized")
         path = str(tmp_path / "mc.jsonl")
         first = run_monte_carlo(analysis, plan, checkpoint_path=path)
@@ -259,7 +263,7 @@ class TestCheckpointResume:
     def test_plan_change_invalidates_checkpoint(self, tmp_path):
         network = build_design("TreeFlat")
         spec = spec_for_network(network, seed=0)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         path = str(tmp_path / "mc.jsonl")
         run_monte_carlo(
             analysis, self._plan("vectorized"), checkpoint_path=path
@@ -278,7 +282,7 @@ class TestCheckpointResume:
     def test_progress_reaches_one(self):
         network = build_design("TreeFlat")
         spec = spec_for_network(network, seed=0)
-        analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+        analysis = GraphDamageAnalysis(network, spec)
         fractions = []
         run_monte_carlo(
             analysis, self._plan("vectorized"), progress=fractions.append

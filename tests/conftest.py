@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The test-only oracles (analysis/_reference_reach.py) and non-SP network
+# builders (sp/_nonsp_networks.py) import by module name from any test
+# directory.
+_TESTS = Path(__file__).resolve().parent
+sys.path[:0] = [str(_TESTS / "analysis"), str(_TESTS / "sp")]
 
 from repro.bench.generators import fig1_example
 from repro.rsn import RsnBuilder

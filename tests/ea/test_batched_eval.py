@@ -5,13 +5,14 @@ fault-set state and sweeps whole populations through
 ``damage_of_states`` — one bitset lane per unique genome.  Everything it
 reports must be *bit-identical* (``==``, never approx) to the scalar
 path: one ``damage_of_faults(residual_faults(genome))`` call per genome
-through the per-fault backends.
+through the per-fault BFS oracle of ``_reference_reach``.
 """
 
 import random
 
 import numpy as np
 import pytest
+from _reference_reach import ReferenceGraphAnalysis
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.graph_analysis import GraphDamageAnalysis
@@ -77,15 +78,19 @@ def _build_any(seed, bridge):
 
 
 def _problems(seed, bridge, **kwargs):
-    """The same fault-set problem over the bitset and IR backends."""
+    """The same fault-set problem twice: as production builds it (bitset
+    kernel, vectorized lowering), and with per-genome tuple lowering over
+    the IR BFS oracle."""
     network, spec = _build_any(seed, bridge)
     built = []
-    for backend in ("bitset", "ir"):
-        analysis = GraphDamageAnalysis(network, spec, backend=backend)
+    for analysis, lowering in (
+        (GraphDamageAnalysis(network, spec), "vectorized"),
+        (ReferenceGraphAnalysis(network, spec), "scalar"),
+    ):
         built.append(
             FaultSetHardeningProblem(
                 network, analysis.report(), GateCountCost(), analysis,
-                **kwargs,
+                lowering=lowering, **kwargs,
             )
         )
     return built
@@ -115,7 +120,7 @@ def test_batched_matches_scalar(seed, bridge, pop_seed):
         batched, scalar._analysis, genomes
     )
     assert np.array_equal(batched.evaluate(genomes), expected)
-    # The IR-backed problem's per-state loop agrees too.
+    # The oracle-backed problem's per-state loop agrees too.
     assert np.array_equal(scalar.evaluate(genomes), expected)
 
 
@@ -144,13 +149,11 @@ def test_lane_boundary_populations(population):
     """Populations around the 64-lane word boundary, single-word chunks
     (chunk_lanes=1 forces multi-chunk sweeps at 65 genomes)."""
     network, spec = _build_any(7, True)
-    analysis = GraphDamageAnalysis(
-        network, spec, backend="bitset", chunk_lanes=1
-    )
+    analysis = GraphDamageAnalysis(network, spec, chunk_lanes=1)
     problem = FaultSetHardeningProblem(
         network, analysis.report(), GateCountCost(), analysis
     )
-    scalar = GraphDamageAnalysis(network, spec, backend="ir")
+    scalar = ReferenceGraphAnalysis(network, spec)
     genomes = init_population(
         np.random.default_rng(1), population, problem.n_vars
     )
@@ -220,9 +223,10 @@ def test_duplicate_genomes_share_one_lane():
 @settings(max_examples=5, deadline=None)
 @given(seed=seeds, bridge=st.booleans())
 def test_spea2_front_parity_across_backends(seed, bridge):
-    """Identical SPEA-2 runs over the bitset- and IR-backed problems:
-    the only difference is the state-sweep backend, so archives, fronts
-    and objective trajectories must be bit-identical."""
+    """Identical SPEA-2 runs over the production problem and the
+    scalar-lowered problem over the IR BFS oracle: only the lowering and
+    the state sweep differ, so archives, fronts and objective
+    trajectories must be bit-identical."""
     fronts = []
     for problem in _problems(seed, bridge):
         result = SPEA2(problem, population_size=16, seed=0).run(4)

@@ -9,6 +9,7 @@ invisible in the results for any block size.
 
 import numpy as np
 import pytest
+from _reference_reach import ReferenceGraphAnalysis
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.analysis.graph_analysis import GraphDamageAnalysis
@@ -23,11 +24,10 @@ from test_batched_eval import _build_any, _scalar_objectives
 seeds = st.integers(min_value=0, max_value=50_000)
 
 
-def _bitset_problem(seed, bridge, lowering="auto", **kwargs):
+def _bitset_problem(seed, bridge, lowering="vectorized", **kwargs):
     network, spec = _build_any(seed, bridge)
     analysis = GraphDamageAnalysis(
-        network, spec, backend="bitset",
-        chunk_lanes=kwargs.pop("chunk_lanes", 64),
+        network, spec, chunk_lanes=kwargs.pop("chunk_lanes", 64)
     )
     problem = FaultSetHardeningProblem(
         network, analysis.report(), GateCountCost(), analysis,
@@ -93,7 +93,7 @@ def test_vectorized_matches_scalar_references(
         seed, bridge, lowering="scalar", hardenable=hardenable
     )
     assert vectorized._vectorized and not tuples._vectorized
-    scalar = GraphDamageAnalysis(network, spec, backend="ir")
+    scalar = ReferenceGraphAnalysis(network, spec)
     genomes = _population_with_extremes(
         np.random.default_rng(pop_seed), 17, vectorized.n_vars
     )
@@ -114,7 +114,7 @@ def test_lane_boundaries_under_streaming(population):
         7, True, chunk_lanes=1, max_lane_mb=0.001
     )
     assert problem._lane_block() == 64
-    scalar = GraphDamageAnalysis(network, spec, backend="ir")
+    scalar = ReferenceGraphAnalysis(network, spec)
     genomes = _population_with_extremes(
         np.random.default_rng(1), population, problem.n_vars
     )
@@ -208,34 +208,3 @@ def test_contested_mux_priority_resolution():
     )
     assert np.array_equal(kernel.damage_of_packed(packed), expected)
 
-
-# ---------------------------------------------------------------------------
-# guard rails
-# ---------------------------------------------------------------------------
-def test_vectorized_lowering_requires_bitset():
-    network, spec = _build_any(1, False)
-    analysis = GraphDamageAnalysis(network, spec, backend="ir")
-    report = analysis.report()
-    with pytest.raises(OptimizationError):
-        FaultSetHardeningProblem(
-            network, report, GateCountCost(), analysis,
-            lowering="vectorized",
-        )
-    # auto quietly falls back to the tuple path on scalar backends
-    problem = FaultSetHardeningProblem(
-        network, report, GateCountCost(), analysis
-    )
-    assert not problem._vectorized
-
-
-def test_packed_states_need_bitset_backend():
-    network, spec = _build_any(1, False)
-    _, _, problem = _bitset_problem(1, False)
-    packed = problem.lower_packed(
-        init_population(np.random.default_rng(0), 5, problem.n_vars)
-    )
-    scalar = GraphDamageAnalysis(network, spec, backend="ir")
-    from repro.errors import ReproError
-
-    with pytest.raises(ReproError):
-        scalar.damage_of_packed_states(packed)

@@ -22,8 +22,7 @@ from repro.obs.metrics import (
 
 def _stats(**overrides):
     base = dict(
-        method="fast",
-        backend="ir",
+        route="dp",
         cache="miss",
         faults_evaluated=100,
         lanes=0,
@@ -76,9 +75,7 @@ class TestRecordEngineStats:
         registry = MetricsRegistry()
         record_engine_stats(_stats(), registry=registry)
         assert (
-            registry.get("repro_engine_reports_total").value(
-                method="fast", backend="ir"
-            )
+            registry.get("repro_engine_reports_total").value(route="dp")
             == 1
         )
         assert (

@@ -68,9 +68,7 @@ def stack():
         network = build_design(name)
         spec = spec_for_network(network, seed=0)
         faults = list(iter_all_faults(network))
-        direct = GraphDamageAnalysis(
-            network, spec, backend="bitset"
-        ).damage_vector(faults)
+        direct = GraphDamageAnalysis(network, spec).damage_vector(faults)
         fingerprint = client.upload_network(design=name)["fingerprint"]
         designs[name] = {
             "fingerprint": fingerprint,
@@ -203,16 +201,10 @@ class TestWireProtocol:
         designs = stack["designs"]
         entry = designs["TreeFlat"]
         client = ServiceClient(stack["server"].url, timeout=120.0)
-        record = client.analyze(
-            entry["fingerprint"],
-            method="graph",
-            backend="bitset",
-            timeout=120.0,
-        )
+        record = client.analyze(entry["fingerprint"], timeout=120.0)
         direct = GraphDamageAnalysis(
             build_design("TreeFlat"),
             spec_for_network(build_design("TreeFlat"), seed=0),
-            backend="bitset",
         ).report()
         assert record["result"]["report"]["total"] == direct.total
 

@@ -36,7 +36,7 @@ def fingerprint(client):
 def _direct(plan, **kwargs):
     network = build_design("TreeFlat")
     spec = spec_for_network(network, seed=0)
-    analysis = GraphDamageAnalysis(network, spec, backend="bitset")
+    analysis = GraphDamageAnalysis(network, spec)
     return run_campaign(analysis, plan, **kwargs)
 
 

@@ -1,7 +1,7 @@
 """``/damage`` solver routing and fault validation, in both service modes.
 
 Single-fault ``/damage`` lanes are routed by regime
-(:func:`repro.service.solver.single_fault_solver`): series-parallel
+(:func:`repro.analysis.route_analysis`): series-parallel
 networks get the paper's O(N) DP, everything else the bitset kernel.
 Whatever the route and whichever mode solves it (in-process with
 ``shard_workers=0``, or a 2-worker pool), every answer must equal the

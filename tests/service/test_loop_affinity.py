@@ -45,7 +45,7 @@ def tree_flat():
     network = build_design("TreeFlat")
     faults = list(iter_all_faults(network))
     direct = GraphDamageAnalysis(
-        network, spec_for_network(network, seed=0), backend="bitset"
+        network, spec_for_network(network, seed=0)
     ).damage_vector(faults)
     return faults, [float(d) for d in direct]
 

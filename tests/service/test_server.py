@@ -156,7 +156,7 @@ def test_multi_fault_damage_matches_direct_vector(client, fingerprint):
 def test_analyze_job_parity_and_second_run_is_cache_hit(
     client, fingerprint
 ):
-    params = {"method": "graph", "backend": "bitset", "seed": 0}
+    params = {"seed": 0}
     first = client.analyze(fingerprint, **params)
     second = client.analyze(fingerprint, **params)
 
@@ -165,7 +165,6 @@ def test_analyze_job_parity_and_second_run_is_cache_hit(
         network,
         spec_for_network(network, seed=0),
         policy="max",
-        backend="bitset",
     ).report()
     report = first["result"]["report"]
     assert report["primitive_damage"] == direct.primitive_damage

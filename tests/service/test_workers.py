@@ -75,9 +75,7 @@ def designs():
         network = build_design(name)
         spec = spec_for_network(network, seed=0)
         faults = list(iter_all_faults(network))
-        direct = GraphDamageAnalysis(
-            network, spec, backend="bitset"
-        ).damage_vector(faults)
+        direct = GraphDamageAnalysis(network, spec).damage_vector(faults)
         out[name] = {
             "ir": intern(network),
             "spec": spec,
@@ -114,11 +112,10 @@ class TestPoolParity:
         payload = pool.analyze(
             entry["ir"].fingerprint,
             seed=0,
-            params={"method": "graph", "backend": "bitset",
-                    "cache_dir": None},
+            params={"cache_dir": None},
         ).result(timeout=60.0)
         direct = GraphDamageAnalysis(
-            build_design("TreeFlat"), entry["spec"], backend="bitset"
+            build_design("TreeFlat"), entry["spec"]
         ).report()
         assert payload["report"]["total"] == direct.total
         assert (
@@ -147,7 +144,7 @@ class TestPoolParity:
         future = pool.analyze(
             entry["ir"].fingerprint,
             seed=0,
-            params={"method": "no-such-method", "cache_dir": None},
+            params={"policy": "no-such-policy", "cache_dir": None},
         )
         with pytest.raises(ReproError):
             future.result(timeout=60.0)

@@ -171,10 +171,11 @@ class TestEngineCli:
         assert "workers        : 2" in out
 
     def test_analyze_explicit_method(self, capsys):
-        assert main(
-            ["analyze", "TreeFlat", "--no-cache", "--method", "explicit"]
-        ) == 0
-        assert "total damage" in capsys.readouterr().out
+        """``analyze`` routes by regime and has no ``--method`` flag."""
+        with pytest.raises(SystemExit) as exited:
+            main(["analyze", "TreeFlat", "--no-cache", "--method", "explicit"])
+        assert exited.value.code == 2
+        assert "--method" in capsys.readouterr().err
 
     def test_table1_stats_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -59,5 +59,5 @@ class TestPayloads:
             analyze_damage(
                 fig1_network,
                 uniform_spec(fig1_network.instrument_names()),
-                method="nope",
+                policy="nope",
             )
