@@ -28,7 +28,6 @@ from .engine import (
     CumulativeEngineStats,
     EngineStats,
     analysis_fingerprint,
-    analyze_damage_cached,
     default_cache_dir,
 )
 from .graph_analysis import GraphDamageAnalysis, expected_damage_under_rate
@@ -68,7 +67,6 @@ __all__ = [
     "accessibility_under_single_faults",
     "analysis_fingerprint",
     "analyze_damage",
-    "analyze_damage_cached",
     "control_cell_break_effect",
     "controlled_muxes",
     "default_cache_dir",

@@ -1,17 +1,14 @@
-"""Parallel, cached criticality engine — the service-grade analysis path.
+"""Cached criticality engine — the service-grade analysis path.
 
 :class:`CriticalityEngine` wraps the per-fault damage evaluation of
 :mod:`repro.analysis.damage` into a reusable substrate:
 
-* **parallel fan-out** — the per-primitive damage evaluations are
-  independent, so they are chunked and dispatched over a
-  ``ProcessPoolExecutor``; on ``fork`` platforms the workers inherit the
-  fully-preprocessed analysis (prefix sums, branch ranges) by
-  copy-on-write, elsewhere each worker rebuilds it once from a pickled
-  ``(compiled IR, spec)`` payload (:mod:`repro.ir` — far cheaper on the
-  wire than the dict graph).  Results are reassembled in submission
-  order, so the report is bit-identical to the serial path.  Any pool
-  failure degrades gracefully to the serial evaluation.
+* **one in-process evaluation** — the analysis is the one
+  :func:`repro.analysis.route_analysis` picks (route ``dp`` on
+  series-parallel networks, ``bitset`` otherwise), evaluated in the
+  calling process; the engine records the route in its stats, span and
+  metrics.  On the ``dp`` route a full report is one vectorized pass
+  over prefix sums, so there is nothing a process pool could amortize.
 * **persistent result cache** — a completed report is stored on disk
   keyed by a content fingerprint of (compiled-IR fingerprint,
   specification weights, policy, damage sites,
@@ -21,41 +18,25 @@
   changes the fingerprint and invalidates the entry; changes to the
   analysis algorithms must bump :data:`ANALYSIS_VERSION`.
 * **instrumentation** — an :class:`EngineStats` record (faults/s, cache
-  outcome, memoization counters, worker utilization) for ``--stats``
-  output and benchmark capture.
-
-The analysis itself is the one :func:`repro.analysis.route_analysis`
-picks (route ``dp`` on series-parallel networks, ``bitset`` otherwise);
-the engine records the route in its stats, span and metrics.
+  outcome, memoization and lane counters) for ``--stats`` output and
+  benchmark capture.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-import multiprocessing
 import os
-import pickle
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..obs.metrics import record_engine_stats
-from ..obs.trace import (
-    SpanCollector,
-    collecting,
-    current_carrier,
-    current_collector,
-    span,
-    tracing_enabled,
-    use_carrier,
-)
+from ..obs.trace import span
 from ..ir import MUX as IR_MUX
-from ..ir import LANE_BITS, CompiledNetwork, intern
+from ..ir import intern
 from ..rsn.network import RsnNetwork
 from ..sp.tree import SPTree
 from .damage import DamageReport, assemble_report, partition_primitives
@@ -69,13 +50,6 @@ from .route import route_analysis
 ANALYSIS_VERSION = "4"
 
 _SITES = ("all", "control", "mux")
-
-# Patchable factory so tests can simulate an unavailable pool.
-_EXECUTOR_FACTORY = ProcessPoolExecutor
-
-# Fork-path hand-off: set in the parent right before the pool is created so
-# forked workers inherit the preprocessed analysis without any pickling.
-_WORKER_ANALYSIS = None
 
 
 def default_cache_dir() -> str:
@@ -132,19 +106,11 @@ class EngineStats:
     faults_evaluated: int = 0
     elapsed_seconds: float = 0.0
     faults_per_second: float = 0.0
-    #: 0 = serial; otherwise the worker-pool size actually used.
-    workers: int = 0
-    distinct_workers: int = 0
-    chunks: int = 0
-    worker_busy_seconds: float = 0.0
-    #: busy-time fraction of the pool during the parallel section.
-    worker_utilization: float = 0.0
     #: "hit" | "miss" | "disabled"
     cache: str = "disabled"
     cache_key: Optional[str] = None
     #: Entries evicted by the size-capped LRU pruning of this store.
     cache_evictions: int = 0
-    parallel_fallback: Optional[str] = None
     memo: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -167,15 +133,9 @@ class EngineStats:
             "faults_evaluated": self.faults_evaluated,
             "elapsed_seconds": self.elapsed_seconds,
             "faults_per_second": self.faults_per_second,
-            "workers": self.workers,
-            "distinct_workers": self.distinct_workers,
-            "chunks": self.chunks,
-            "worker_busy_seconds": self.worker_busy_seconds,
-            "worker_utilization": self.worker_utilization,
             "cache": self.cache,
             "cache_key": self.cache_key,
             "cache_evictions": self.cache_evictions,
-            "parallel_fallback": self.parallel_fallback,
             "memo": dict(self.memo),
             "memo_hit_rate": self.memo_hit_rate,
         }
@@ -206,16 +166,6 @@ class EngineStats:
             lines.append(
                 f"  cache evicted  : {self.cache_evictions} entries (LRU)"
             )
-        if self.workers:
-            lines.append(
-                f"  workers        : {self.workers} "
-                f"({self.chunks} chunks, "
-                f"{self.worker_utilization:.0%} utilization)"
-            )
-        else:
-            lines.append("  workers        : serial")
-        if self.parallel_fallback:
-            lines.append(f"  pool fallback  : {self.parallel_fallback}")
         if self.memo:
             lines.append(
                 f"  memo hit rate  : {self.memo_hit_rate:.1%} "
@@ -247,7 +197,6 @@ class CumulativeEngineStats:
     population_states: int = 0
     elapsed_seconds: float = 0.0
     cache_evictions: int = 0
-    parallel_fallbacks: int = 0
 
     def update(self, stats: "EngineStats") -> None:
         self.reports += 1
@@ -261,8 +210,6 @@ class CumulativeEngineStats:
         self.lane_chunks += stats.lane_chunks
         self.elapsed_seconds += stats.elapsed_seconds
         self.cache_evictions += stats.cache_evictions
-        if stats.parallel_fallback:
-            self.parallel_fallbacks += 1
 
     @property
     def cache_hit_rate(self) -> float:
@@ -288,107 +235,29 @@ class CumulativeEngineStats:
             "population_states": self.population_states,
             "elapsed_seconds": self.elapsed_seconds,
             "cache_evictions": self.cache_evictions,
-            "parallel_fallbacks": self.parallel_fallbacks,
         }
-
-
-# ---------------------------------------------------------------------------
-# worker-side helpers (module-level so they pickle by reference)
-# ---------------------------------------------------------------------------
-def _spawn_payload(
-    ir: CompiledNetwork,
-    spec,
-    policy: str,
-    chunk_lanes: int = 64,
-) -> bytes:
-    """The bytes shipped to spawn-mode workers: the compact, array-backed
-    IR instead of the dict graph (cheaper to pickle, one copy per worker
-    instead of one per batch)."""
-    return pickle.dumps((ir, spec, policy, chunk_lanes))
-
-
-def _worker_init(payload: Optional[bytes] = None) -> None:
-    """Initializer for spawned workers: rebuild the analysis once.
-
-    On fork platforms ``payload`` is None and the analysis was inherited
-    from the parent via :data:`_WORKER_ANALYSIS`.  Otherwise the payload
-    carries the compiled IR, from which the worker re-derives the dict
-    view and routes it (:func:`route_analysis`) exactly once — the same
-    network gives the same route as in the parent.
-    """
-    global _WORKER_ANALYSIS
-    if payload is not None:
-        ir, spec, policy, chunk_lanes = pickle.loads(payload)
-        _WORKER_ANALYSIS = route_analysis(
-            ir.to_network(), spec, policy=policy, chunk_lanes=chunk_lanes
-        )
 
 
 def _batch_counters(analysis) -> Dict[str, int]:
     return getattr(analysis, "batch_counters", None) or {}
 
 
-def _worker_chunk(
-    names: List[str],
-    carrier: Optional[Dict[str, str]] = None,
-) -> Tuple[int, float, Dict[str, int], List[float], List[Dict]]:
-    """Evaluate one chunk of primitives; reports the bitset kernel's
-    counter deltas alongside the damages (fork-mode workers mutate their
-    copy-on-write analysis, so the parent never sees the counters
-    directly).
-
-    ``carrier`` is the parent's trace context: when present the worker
-    records its spans — ``engine.worker_chunk`` plus any kernel spans
-    opened underneath — into a private collector and ships them home as
-    the last tuple element, so one trace connects spans from many pids.
-    The private collector (rather than any fork-inherited one) keeps the
-    worker's spans out of its copy of the parent collector, which would
-    be discarded with the process.
-    """
-    started = time.perf_counter()
-    analysis = _WORKER_ANALYSIS
-    before = _batch_counters(analysis)
-    spans: List[Dict] = []
-    if carrier is not None:
-        local = SpanCollector()
-        with collecting(local), use_carrier(carrier):
-            with span("engine.worker_chunk", primitives=len(names)):
-                damages = analysis.primitive_damages(names)
-        spans = [record.as_dict() for record in local.spans()]
-    else:
-        damages = analysis.primitive_damages(names)
-    counters = {
-        key: value - before.get(key, 0)
-        for key, value in _batch_counters(analysis).items()
-    }
-    elapsed = time.perf_counter() - started
-    return os.getpid(), elapsed, counters, damages, spans
-
-
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
 class CriticalityEngine:
-    """Parallel + cached front-end over the routed damage analysis.
+    """Cached front-end over the routed damage analysis.
 
     Parameters
     ----------
     tree:
         Decomposition tree of ``network``; passing one selects the ``dp``
         route without decomposing again (see :func:`route_analysis`).
-    jobs:
-        ``None``/``0``/``1`` — serial; ``"auto"`` — one worker per CPU;
-        ``n >= 2`` — a pool of ``n`` workers.
     cache_dir:
         Directory of the persistent result cache; ``None`` disables it.
-    min_parallel_primitives:
-        Networks below this size always run serially (pool start-up would
-        dominate).
     chunk_lanes:
         Bitset working-set bound: ``uint64`` words of fault lanes per
-        kernel chunk (64 words = 4096 faults).  Parallel tasks are sized
-        to one kernel chunk each, so a worker dispatch amortizes over
-        thousands of faults instead of one.
+        kernel chunk (64 words = 4096 faults).
     max_cache_mb:
         Size cap of the disk result cache in megabytes; ``None`` leaves
         it unbounded.  After every store the cache directory is pruned
@@ -403,10 +272,7 @@ class CriticalityEngine:
         spec,
         tree: Optional[SPTree] = None,
         policy: str = "max",
-        jobs=None,
-        chunk_size: int = 1024,
         cache_dir: Optional[str] = None,
-        min_parallel_primitives: int = 64,
         chunk_lanes: int = 64,
         max_cache_mb: Optional[float] = None,
     ):
@@ -415,30 +281,16 @@ class CriticalityEngine:
         self.tree = tree
         self.policy = policy
         self.chunk_lanes = max(1, int(chunk_lanes))
-        self.jobs = self._normalize_jobs(jobs)
-        self.chunk_size = max(1, int(chunk_size))
         self.cache_dir = cache_dir
         if max_cache_mb is not None and max_cache_mb <= 0:
             raise ReproError(
                 f"max_cache_mb must be positive, got {max_cache_mb}"
             )
         self.max_cache_mb = max_cache_mb
-        self.min_parallel_primitives = min_parallel_primitives
         self.stats: Optional[EngineStats] = None
         self.cumulative = CumulativeEngineStats()
         self._analysis = None
         self._population = None
-
-    @staticmethod
-    def _normalize_jobs(jobs) -> int:
-        if jobs in (None, 0, 1):
-            return 0
-        if jobs == "auto":
-            return os.cpu_count() or 1
-        jobs = int(jobs)
-        if jobs < 0:
-            raise ReproError(f"jobs must be >= 0, got {jobs}")
-        return jobs
 
     # -- public API ------------------------------------------------------
     def report(self, sites: str = "all") -> DamageReport:
@@ -499,31 +351,14 @@ class CriticalityEngine:
         stats.primitives_evaluated = len(evaluated)
         stats.faults_evaluated = self._count_faults(evaluated)
 
-        stats.route = self._build_analysis().route
-        damages = None
-        if (
-            self.jobs >= 2
-            and len(evaluated) >= self.min_parallel_primitives
-        ):
-            try:
-                damages = self._parallel_damages(evaluated, stats)
-            except Exception as exc:  # degrade, never fail the analysis
-                stats.parallel_fallback = f"{type(exc).__name__}: {exc}"
-                damages = None
-        elif self.jobs >= 2:
-            stats.parallel_fallback = (
-                f"network too small ({len(evaluated)} primitives < "
-                f"{self.min_parallel_primitives})"
-            )
-        if damages is None:
-            with span("engine.serial", primitives=len(evaluated)):
-                before = _batch_counters(self._analysis)
-                damages = self._serial_damages(evaluated)
-                after = _batch_counters(self._analysis)
-            stats.lanes = after.get("lanes", 0) - before.get("lanes", 0)
-            stats.lane_chunks = after.get("chunks", 0) - before.get(
-                "chunks", 0
-            )
+        analysis = self._build_analysis()
+        stats.route = analysis.route
+        with span("engine.evaluate", primitives=len(evaluated)):
+            before = _batch_counters(analysis)
+            damages = analysis.primitive_damages(evaluated)
+            after = _batch_counters(analysis)
+        stats.lanes = after.get("lanes", 0) - before.get("lanes", 0)
+        stats.lane_chunks = after.get("chunks", 0) - before.get("chunks", 0)
 
         report = assemble_report(
             self.network, self.policy, evaluated, damages, skipped
@@ -532,12 +367,11 @@ class CriticalityEngine:
             with span("engine.cache_store", key=key[:16]):
                 stats.cache_evictions = self._store_cached(key, report)
 
-        analysis = self._analysis
-        if analysis is not None and hasattr(analysis, "memo_counters"):
+        if hasattr(analysis, "memo_counters"):
             stats.memo = dict(analysis.memo_counters)
         return report
 
-    # -- partitioning ----------------------------------------------------
+    # -- fault count -----------------------------------------------------
     def _count_faults(self, names: List[str]) -> int:
         ir = intern(self.network)
         count = 0
@@ -549,7 +383,7 @@ class CriticalityEngine:
                 count += 1
         return count
 
-    # -- evaluation paths ------------------------------------------------
+    # -- the routed analysis ---------------------------------------------
     def _build_analysis(self):
         if self._analysis is None:
             self._analysis = route_analysis(
@@ -560,9 +394,6 @@ class CriticalityEngine:
                 chunk_lanes=self.chunk_lanes,
             )
         return self._analysis
-
-    def _serial_damages(self, names: List[str]) -> List[float]:
-        return self._build_analysis().primitive_damages(names)
 
     # -- population queries ----------------------------------------------
     def population_analysis(self) -> GraphDamageAnalysis:
@@ -620,124 +451,6 @@ class CriticalityEngine:
             "chunks", 0
         ) - before.get("chunks", 0)
         self.cumulative.population_states += packed.lanes
-        return damages
-
-    def _partition_chunks(self, names: List[str]) -> List[List[str]]:
-        """Split the evaluated primitives into worker tasks.
-
-        ``dp`` route: fixed-size name chunks (a task amortizes pool
-        dispatch over ~``chunk_size`` scalar queries).  ``bitset`` route:
-        tasks sized by accumulated *fault* count so each covers one
-        kernel chunk of ``chunk_lanes * 64`` lanes — a single vectorized
-        solve per dispatch — capped so the pool still gets at least ~one
-        task per worker.
-        """
-        jobs = self.jobs
-        if self._build_analysis().route == "bitset":
-            ir = intern(self.network)
-            total = self._count_faults(names)
-            capacity = max(
-                LANE_BITS,
-                min(self.chunk_lanes * LANE_BITS, -(-total // jobs)),
-            )
-            chunks: List[List[str]] = []
-            current: List[str] = []
-            current_faults = 0
-            for name in names:
-                node_id = ir.id_of(name)
-                current.append(name)
-                current_faults += (
-                    ir.fanin[node_id]
-                    if ir.kinds[node_id] == IR_MUX
-                    else 1
-                )
-                if current_faults >= capacity:
-                    chunks.append(current)
-                    current = []
-                    current_faults = 0
-            if current:
-                chunks.append(current)
-            return chunks
-        chunk = min(
-            self.chunk_size, max(1, -(-len(names) // (jobs * 4)))
-        )
-        return [
-            names[i : i + chunk] for i in range(0, len(names), chunk)
-        ]
-
-    def _parallel_damages(
-        self, names: List[str], stats: EngineStats
-    ) -> List[float]:
-        global _WORKER_ANALYSIS
-        jobs = self.jobs
-        chunks = self._partition_chunks(names)
-
-        fork_available = (
-            "fork" in multiprocessing.get_all_start_methods()
-        )
-        if fork_available:
-            context = multiprocessing.get_context("fork")
-            initargs = ()
-            # Workers inherit the preprocessed analysis copy-on-write.
-            _WORKER_ANALYSIS = self._build_analysis()
-        else:  # pragma: no cover - non-fork platforms
-            context = multiprocessing.get_context("spawn")
-            initargs = (
-                _spawn_payload(
-                    intern(self.network),
-                    self.spec,
-                    self.policy,
-                    self.chunk_lanes,
-                ),
-            )
-        parallel_started = time.perf_counter()
-        with span(
-            "engine.pool",
-            workers=jobs,
-            chunks=len(chunks),
-            start_method=context.get_start_method(),
-        ):
-            # Dispatched under the pool span so worker_chunk spans (which
-            # carry this context across the process boundary) hang off it.
-            carrier = current_carrier() if tracing_enabled() else None
-            try:
-                with _EXECUTOR_FACTORY(
-                    max_workers=jobs,
-                    mp_context=context,
-                    initializer=_worker_init,
-                    initargs=initargs,
-                ) as pool:
-                    results = list(
-                        pool.map(
-                            _worker_chunk,
-                            chunks,
-                            itertools.repeat(carrier),
-                        )
-                    )
-            finally:
-                _WORKER_ANALYSIS = None
-        parallel_wall = time.perf_counter() - parallel_started
-
-        damages: List[float] = []
-        busy: Dict[int, float] = {}
-        shipped: List[Dict] = []
-        for pid, worker_elapsed, counters, chunk_damages, spans in results:
-            damages.extend(chunk_damages)
-            busy[pid] = busy.get(pid, 0.0) + worker_elapsed
-            stats.lanes += counters.get("lanes", 0)
-            stats.lane_chunks += counters.get("chunks", 0)
-            shipped.extend(spans)
-        collector = current_collector()
-        if collector is not None and shipped:
-            collector.ingest(shipped)
-        stats.workers = jobs
-        stats.distinct_workers = len(busy)
-        stats.chunks = len(chunks)
-        stats.worker_busy_seconds = sum(busy.values())
-        if parallel_wall > 0:
-            stats.worker_utilization = min(
-                1.0, stats.worker_busy_seconds / (jobs * parallel_wall)
-            )
         return damages
 
     # -- disk cache ------------------------------------------------------
@@ -832,29 +545,3 @@ class CriticalityEngine:
             evicted += 1
         return evicted
 
-
-def analyze_damage_cached(
-    network: RsnNetwork,
-    spec,
-    tree: Optional[SPTree] = None,
-    policy: str = "max",
-    sites: str = "all",
-    jobs=None,
-    cache_dir: Optional[str] = None,
-    chunk_lanes: int = 64,
-    max_cache_mb: Optional[float] = None,
-) -> Tuple[DamageReport, EngineStats]:
-    """One-shot convenience wrapper: build an engine, return
-    ``(report, stats)``."""
-    engine = CriticalityEngine(
-        network,
-        spec,
-        tree=tree,
-        policy=policy,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        chunk_lanes=chunk_lanes,
-        max_cache_mb=max_cache_mb,
-    )
-    report = engine.report(sites=sites)
-    return report, engine.stats

@@ -116,7 +116,6 @@ def run_design(
     with_greedy: bool = True,
     hardenable: str = "all",
     damage_sites: str = "all",
-    jobs=None,
     cache_dir: Optional[str] = None,
     chunk_lanes: int = 64,
     max_cache_mb: Optional[float] = None,
@@ -138,7 +137,6 @@ def run_design(
         seed=seed,
         hardenable=hardenable,
         damage_sites=damage_sites,
-        jobs=jobs,
         cache_dir=cache_dir,
         chunk_lanes=chunk_lanes,
         max_cache_mb=max_cache_mb,

@@ -138,14 +138,7 @@ def _lane_budget_mb(text: str) -> Optional[float]:
 
 
 def _add_engine_options(parser) -> None:
-    """Shared criticality-engine flags (parallelism, cache, stats)."""
-    parser.add_argument(
-        "--jobs",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="analysis worker processes (0/1 = serial, default serial)",
-    )
+    """Shared criticality-engine flags (kernel chunking, cache, stats)."""
     parser.add_argument(
         "--chunk-lanes",
         type=_positive_int,
@@ -186,7 +179,7 @@ def _add_engine_options(parser) -> None:
         "--stats",
         action="store_true",
         help="print engine statistics (faults/s, cache and memo hit "
-        "rates, worker utilization)",
+        "rates, fault lanes)",
     )
 
 
@@ -211,7 +204,6 @@ def _cmd_table1(args) -> int:
         verbose=True,
         hardenable=args.hardenable,
         damage_sites=args.damage_sites,
-        jobs=args.jobs,
         cache_dir=_engine_cache_dir(args),
         chunk_lanes=args.chunk_lanes,
         max_cache_mb=args.cache_max_mb,
@@ -284,7 +276,6 @@ def _cmd_analyze(args) -> int:
         network,
         spec,
         policy=args.policy,
-        jobs=args.jobs,
         cache_dir=_engine_cache_dir(args),
         chunk_lanes=args.chunk_lanes,
         max_cache_mb=args.cache_max_mb,
@@ -346,7 +337,6 @@ def _cmd_harden(args) -> int:
         network,
         spec=spec,
         seed=args.seed,
-        jobs=args.jobs,
         cache_dir=_engine_cache_dir(args),
         chunk_lanes=args.chunk_lanes,
         max_cache_mb=args.cache_max_mb,
@@ -462,7 +452,6 @@ def _cmd_serve(args) -> int:
         max_cache_mb=args.cache_max_mb,
         workers=args.job_threads,
         job_timeout=args.job_timeout,
-        engine_jobs=args.jobs,
         tracing=args.trace,
         shard_workers=args.workers,
         shards=args.shards,
@@ -1072,13 +1061,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="S",
         help="default per-job timeout in seconds (default: none)",
-    )
-    serve.add_argument(
-        "--jobs",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="analysis worker processes per job (0/1 = serial)",
     )
     serve.add_argument(
         "--cache-dir",

@@ -74,7 +74,6 @@ class SelectiveHardening:
         hardenable: str = "all",
         damage_sites: str = "all",
         seed: int = 0,
-        jobs=None,
         cache_dir: Optional[str] = None,
         chunk_lanes: int = 64,
         max_cache_mb: Optional[float] = None,
@@ -103,7 +102,6 @@ class SelectiveHardening:
         self.hardenable = hardenable
         self.damage_sites = damage_sites
         self.seed = seed
-        self.jobs = jobs
         self.cache_dir = cache_dir
         self.chunk_lanes = chunk_lanes
         self.max_cache_mb = max_cache_mb
@@ -130,7 +128,6 @@ class SelectiveHardening:
                 self.spec,
                 tree=self.tree,
                 policy=self.policy,
-                jobs=self.jobs,
                 cache_dir=self.cache_dir,
                 chunk_lanes=self.chunk_lanes,
                 max_cache_mb=self.max_cache_mb,

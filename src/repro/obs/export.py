@@ -3,7 +3,7 @@
 The Chrome format (loadable in ``chrome://tracing`` or Perfetto) is the
 portable target: each finished span becomes one complete event
 (``"ph": "X"``) with microsecond timestamps, laid out on a
-``(pid, tid)`` track so spans from ProcessPool workers appear as their
+``(pid, tid)`` track so spans from shard worker processes appear as their
 own process rows next to the service threads that dispatched them.
 Timestamps are normalized to the earliest span start, which keeps the
 numbers small and the viewer's initial viewport sensible.

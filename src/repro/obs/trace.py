@@ -2,7 +2,8 @@
 
 The stack spans four layers (service -> jobs -> engine -> batch kernel)
 and three kinds of execution boundary: HTTP handler threads, the job
-queue's worker/attempt threads, and ``ProcessPoolExecutor`` workers.
+queue's worker/attempt threads, and the service's shard worker
+processes (:mod:`repro.service.workers`).
 This module is the dependency-free substrate that attributes wall time
 across all of them:
 

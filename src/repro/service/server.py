@@ -9,11 +9,13 @@ front-end, :mod:`repro.service.aserver`, owns the route table, the
 error mapping and the ``X-Trace-Id`` protocol, and calls into this
 facade.
 
-Analyze jobs run through :class:`repro.analysis.CriticalityEngine` with
-the service's shared disk cache, so a repeated analyze of the same
-(network, spec, policy, sites) is a cache hit, not a recompute — observable in
-the job's ``result.stats.cache`` and the ``repro_engine_cache_total``
-counter.
+Analyze jobs run through :class:`repro.analysis.CriticalityEngine`,
+which evaluates in the process that calls it: a job thread here, or the
+shard worker that owns the network when the worker pool is up.  The
+engine shares the service's disk cache, so a repeated analyze of the
+same (network, spec, policy, sites) is a cache hit, not a recompute —
+observable in the job's ``result.stats.cache`` and the
+``repro_engine_cache_total`` counter.
 """
 
 from __future__ import annotations
@@ -121,7 +123,6 @@ class AnalysisService:
         batch_max_faults: int = 4096,
         job_timeout: Optional[float] = None,
         job_retries: int = 2,
-        engine_jobs=None,
         tracing: bool = False,
         shard_workers: int = 0,
         shards: Optional[int] = None,
@@ -140,7 +141,6 @@ class AnalysisService:
             else (cache_dir if cache_dir else default_cache_dir())
         )
         self.max_cache_mb = max_cache_mb
-        self.engine_jobs = engine_jobs
         self.started_at = time.time()
         self.registry = NetworkRegistry()
         # The process-global registry: the engine and the tracer feed it
@@ -380,7 +380,6 @@ class AnalysisService:
                 entry.network,
                 spec,
                 policy=params["policy"],
-                jobs=self.engine_jobs,
                 cache_dir=self.cache_dir,
                 chunk_lanes=params["chunk_lanes"],
                 max_cache_mb=self.max_cache_mb,
@@ -410,7 +409,6 @@ class AnalysisService:
                 entry.network,
                 spec=spec,
                 seed=seed,
-                jobs=self.engine_jobs,
                 cache_dir=self.cache_dir,
                 max_cache_mb=self.max_cache_mb,
             )
@@ -465,7 +463,6 @@ class AnalysisService:
                 scale_generations=params["scale_generations"],
                 seed=params["seed"],
                 algorithm=params["algorithm"],
-                jobs=self.engine_jobs,
                 cache_dir=self.cache_dir,
                 max_cache_mb=self.max_cache_mb,
             )

@@ -408,7 +408,6 @@ def _worker_main(worker_id: int, conn) -> None:
                             _network_of(fp),
                             _spec_of(fp, seed),
                             policy=params.get("policy", "max"),
-                            jobs=0,
                             cache_dir=params.get("cache_dir"),
                             chunk_lanes=params.get("chunk_lanes", 64),
                             max_cache_mb=params.get("max_cache_mb"),

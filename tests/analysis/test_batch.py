@@ -12,7 +12,6 @@ import random
 
 import numpy as np
 import pytest
-from _nonsp_networks import stem_bridge_network
 from _reference_reach import ReferenceGraphAnalysis
 from hypothesis import given, settings, strategies as st
 
@@ -403,31 +402,6 @@ def test_engine_bitset_serial_matches_ir_engine():
     assert engine.stats.route == "bitset"
     assert engine.stats.lanes > 0
     assert engine.stats.lane_chunks > 0
-
-
-def test_engine_bitset_parallel_matches_serial():
-    network = stem_bridge_network(12)
-    spec = random_spec(network.instrument_names(), seed=13)
-    serial = CriticalityEngine(network, spec)
-    serial_report = serial.report()
-    parallel = CriticalityEngine(
-        network,
-        spec,
-        jobs=2,
-        chunk_lanes=1,
-        min_parallel_primitives=1,
-    )
-    parallel_report = parallel.report()
-    assert parallel_report.primitive_damage == (
-        serial_report.primitive_damage
-    )
-    assert parallel.stats.parallel_fallback is None
-    assert parallel.stats.workers == 2
-    # worker-side lane counters travel back through the task results
-    # (chunking changes dedup opportunities, so only >= holds exactly)
-    assert parallel.stats.lanes >= serial.stats.lanes > 0
-    # chunk_lanes=1 forces one kernel chunk per lane word
-    assert parallel.stats.lane_chunks > 1
 
 
 def test_engine_rejects_backend_for_tree_methods():

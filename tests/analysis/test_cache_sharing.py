@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.analysis.engine import CriticalityEngine, analyze_damage_cached
+from repro.analysis.engine import CriticalityEngine
 from repro.bench import build_design
 from repro.errors import ReproError
 from repro.spec import spec_for_network
@@ -218,12 +218,9 @@ def test_evictions_reported_in_stats_and_format(tmp_path):
         stamp = time.time() - 50 + seed
         os.utime(path, (stamp, stamp))
     tiny = 1.0 / 1024  # 1 KiB: evicts everything but the new entry
-    report, stats = analyze_damage_cached(
-        build_design("TreeFlat"),
-        spec_for_network(build_design("TreeFlat"), seed=9),
-        cache_dir=str(tmp_path),
-        max_cache_mb=tiny,
-    )
+    engine = _engine(tmp_path, seed=9, max_cache_mb=tiny)
+    engine.report()
+    stats = engine.stats
     assert stats.cache_evictions == 2
     assert "evicted" in stats.format()
     assert stats.as_dict()["cache_evictions"] == 2

@@ -1,13 +1,12 @@
-"""The parallel + cached criticality engine.
+"""The cached criticality engine.
 
 Contracts under test:
 
-* the engine (serial and parallel) is bit-identical to
-  :func:`repro.analysis.analyze_damage` and to every reference
-  implementation, for every site filter;
+* the engine is bit-identical to :func:`repro.analysis.analyze_damage`
+  and to every reference implementation, for every site filter;
+* it has no evaluation-strategy knobs: a caller passing one fails;
 * the disk cache round-trips reports and is invalidated by any change to
   the network, the spec, the policy/sites or the analysis version;
-* an unavailable worker pool degrades gracefully to the serial path;
 * the stats instrumentation reports what actually happened.
 """
 
@@ -28,11 +27,9 @@ from repro.analysis import engine as engine_mod
 from repro.analysis.engine import (
     CriticalityEngine,
     analysis_fingerprint,
-    analyze_damage_cached,
     default_cache_dir,
 )
 from repro.bench import build_design
-from repro.errors import ReproError
 from repro.spec import spec_for_network
 
 PARITY_DESIGNS = ["TreeFlat", "q12710", "MBIST_1_5_5"]
@@ -52,7 +49,7 @@ def _setup(design, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# serial / parallel parity
+# parity
 # ---------------------------------------------------------------------------
 class TestParity:
     @pytest.mark.parametrize("design", PARITY_DESIGNS)
@@ -64,26 +61,11 @@ class TestParity:
         assert report.unit_damage == reference.unit_damage
         assert report.total == reference.total
 
-    @pytest.mark.parametrize("design", PARITY_DESIGNS)
-    def test_parallel_engine_bit_identical(self, design):
-        network, spec = _setup(design)
-        serial = CriticalityEngine(network, spec).report()
-        engine = CriticalityEngine(
-            network, spec, jobs=2, min_parallel_primitives=1
-        )
-        parallel = engine.report()
-        assert engine.stats.workers == 2
-        assert engine.stats.parallel_fallback is None
-        assert parallel.primitive_damage == serial.primitive_damage
-        assert parallel.unit_damage == serial.unit_damage
-
     @pytest.mark.parametrize("sites", ["all", "control", "mux"])
     def test_site_filters_match_reference(self, sites):
         network, spec = _setup("q12710")
         reference = analyze_damage(network, spec, sites=sites)
-        engine = CriticalityEngine(
-            network, spec, jobs=2, min_parallel_primitives=1
-        )
+        engine = CriticalityEngine(network, spec)
         assert (
             engine.report(sites=sites).primitive_damage
             == reference.primitive_damage
@@ -105,11 +87,24 @@ class TestParity:
         with pytest.raises(TypeError):
             CriticalityEngine(network, spec, method="bogus")
 
-    def test_convenience_wrapper(self):
+    @pytest.mark.parametrize(
+        "option", ["jobs", "chunk_size", "min_parallel_primitives"]
+    )
+    def test_pool_options_rejected(self, option):
+        """One in-process executor: the engine takes no worker-pool
+        options, and a caller still passing one fails loudly."""
         network, spec = _setup("TreeFlat")
-        report, stats = analyze_damage_cached(network, spec)
+        with pytest.raises(TypeError):
+            CriticalityEngine(network, spec, **{option: 2})
+
+    def test_convenience_wrapper(self):
+        """The one-shot use: build an engine, read ``report()`` and the
+        per-call ``stats``."""
+        network, spec = _setup("TreeFlat")
+        engine = CriticalityEngine(network, spec)
+        report = engine.report()
         assert report.total == analyze_damage(network, spec).total
-        assert stats.cache == "disabled"
+        assert engine.stats.cache == "disabled"
 
 
 # ---------------------------------------------------------------------------
@@ -232,117 +227,6 @@ class TestDiskCache:
 
 
 # ---------------------------------------------------------------------------
-# spawn-mode worker payload
-# ---------------------------------------------------------------------------
-class TestSpawnPayload:
-    """The spawn fallback ships the compiled IR, not the dict network,
-    and workers rebuilt from it reproduce the serial damages exactly."""
-
-    def test_payload_carries_compiled_ir(self):
-        import pickle
-
-        from repro.ir import CompiledNetwork, intern
-        from repro.rsn.network import RsnNetwork
-
-        network, spec = _setup("q12710")
-        payload = engine_mod._spawn_payload(intern(network), spec, "max")
-        ir, spec_out, policy, chunk_lanes = pickle.loads(payload)
-        assert isinstance(ir, CompiledNetwork)
-        assert not isinstance(ir, RsnNetwork)
-        assert ir.fingerprint == intern(network).fingerprint
-        assert (policy, chunk_lanes) == ("max", 64)
-        assert spec_out.to_dict() == spec.to_dict()
-        # the IR payload is the smaller wire format
-        dict_payload = pickle.dumps((network, spec, "max"))
-        assert len(payload) < len(dict_payload)
-
-    @staticmethod
-    def _spawned_damages(network, spec, names):
-        """``(route, damages)`` of a worker rebuilt from the payload."""
-        from repro.ir import intern
-
-        payload = engine_mod._spawn_payload(intern(network), spec, "max")
-        previous = engine_mod._WORKER_ANALYSIS
-        try:
-            engine_mod._worker_init(payload)
-            route = engine_mod._WORKER_ANALYSIS.route
-            _, _, _, damages, spans = engine_mod._worker_chunk(names)
-            assert spans == []  # no carrier shipped: no span payloads
-        finally:
-            engine_mod._WORKER_ANALYSIS = previous
-        return route, dict(zip(names, damages))
-
-    @pytest.mark.parametrize("method", sorted(REFERENCES))
-    def test_spawn_worker_reproduces_serial_damages(self, method):
-        network, spec = _setup("TreeFlat")
-        serial = REFERENCES[method](network, spec).report()
-        route, damages = self._spawned_damages(
-            network, spec, list(serial.primitive_damage)
-        )
-        assert route == "dp"
-        assert damages == serial.primitive_damage
-
-    def test_spawn_worker_routes_non_sp_to_bitset(self):
-        from _nonsp_networks import stem_bridge_network
-        from _reference_reach import ReferenceGraphAnalysis
-
-        network = stem_bridge_network(2)
-        spec = spec_for_network(network, seed=0)
-        serial = ReferenceGraphAnalysis(network, spec).report()
-        route, damages = self._spawned_damages(
-            network, spec, list(serial.primitive_damage)
-        )
-        assert route == "bitset"
-        assert damages == serial.primitive_damage
-
-
-# ---------------------------------------------------------------------------
-# graceful degradation
-# ---------------------------------------------------------------------------
-class TestDegradation:
-    def test_pool_unavailable_falls_back_to_serial(self, monkeypatch):
-        network, spec = _setup("q12710")
-
-        def broken_pool(*args, **kwargs):
-            raise OSError("no process pool on this host")
-
-        monkeypatch.setattr(engine_mod, "_EXECUTOR_FACTORY", broken_pool)
-        engine = CriticalityEngine(
-            network, spec, jobs=4, min_parallel_primitives=1
-        )
-        report = engine.report()
-        assert engine.stats.parallel_fallback is not None
-        assert "no process pool" in engine.stats.parallel_fallback
-        assert engine.stats.workers == 0
-        assert (
-            report.primitive_damage
-            == analyze_damage(network, spec).primitive_damage
-        )
-
-    def test_small_network_skips_the_pool(self):
-        network, spec = _setup("TreeFlat")
-        engine = CriticalityEngine(
-            network, spec, jobs=2, min_parallel_primitives=10_000
-        )
-        report = engine.report()
-        assert engine.stats.workers == 0
-        assert "too small" in engine.stats.parallel_fallback
-        assert report.total == analyze_damage(network, spec).total
-
-    def test_serial_jobs_values(self):
-        network, spec = _setup("TreeFlat")
-        for jobs in (None, 0, 1):
-            engine = CriticalityEngine(network, spec, jobs=jobs)
-            engine.report()
-            assert engine.stats.workers == 0
-
-    def test_negative_jobs_rejected(self):
-        network, spec = _setup("TreeFlat")
-        with pytest.raises(ReproError):
-            CriticalityEngine(network, spec, jobs=-2)
-
-
-# ---------------------------------------------------------------------------
 # instrumentation
 # ---------------------------------------------------------------------------
 class TestStats:
@@ -361,19 +245,6 @@ class TestStats:
         assert stats.memo["dead_misses"] > 0
         assert stats.memo_hit_rate > 0
         assert "faults/s" in stats.format()
-
-    def test_parallel_stats_record_pool(self):
-        network, spec = _setup("MBIST_1_5_5")
-        engine = CriticalityEngine(
-            network, spec, jobs=2, min_parallel_primitives=1
-        )
-        engine.report()
-        stats = engine.stats
-        assert stats.workers == 2
-        assert stats.chunks >= 2
-        assert stats.distinct_workers >= 1
-        assert 0.0 <= stats.worker_utilization <= 1.0
-        assert "workers" in stats.format()
 
     def test_stats_as_dict_is_json_safe(self):
         network, spec = _setup("TreeFlat")
@@ -424,7 +295,6 @@ class TestCumulativeStats:
         payload = json.loads(json.dumps(engine.cumulative.as_dict()))
         assert payload["reports"] == 1
         assert payload["cache_hits"] == 0
-        assert payload["parallel_fallbacks"] == 0
 
     def test_fresh_engine_starts_at_zero(self):
         network, spec = _setup("TreeFlat")

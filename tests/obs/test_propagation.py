@@ -1,18 +1,13 @@
-"""Trace propagation across the execution boundaries of the stack.
+"""Trace propagation across the job queue's thread boundary.
 
-Three hand-offs must preserve the parent chain: the job queue's worker
-and attempt threads (context-vars do not cross threads), and the
-engine's ProcessPool under both start methods — ``fork`` (workers
-inherit state) and ``spawn`` (workers rebuild from a pickled payload);
-in both cases the worker records into a private collector and ships
-span dicts home with its results.
+The queue's worker and attempt threads must preserve the parent chain
+(context-vars do not cross threads).  The process boundary — shard
+workers shipping span dicts home — is covered by
+``tests/service/test_tracing.py``.
 """
-
-import multiprocessing
 
 import pytest
 
-import repro.analysis.engine as engine_mod
 import repro.obs.trace as trace_mod
 from repro.bench import build_design
 from repro.analysis import CriticalityEngine
@@ -37,12 +32,10 @@ def _reset_tracing():
     disable_tracing()
 
 
-def _engine(**overrides):
+def _engine():
     network = build_design("TreeFlat")
     spec = spec_for_network(network, seed=0)
-    options = dict(jobs=2, min_parallel_primitives=1)
-    options.update(overrides)
-    return CriticalityEngine(network, spec, **options)
+    return CriticalityEngine(network, spec)
 
 
 def _by_name(collector):
@@ -141,53 +134,6 @@ class TestJobQueueBoundary:
         assert attempt.trace_id == run.trace_id
 
 
-# ---------------------------------------------------------------------------
-# process boundary: the engine pool (fork and spawn)
-# ---------------------------------------------------------------------------
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="platform has no fork start method",
-)
-class TestForkPool:
-    def test_worker_chunk_spans_ship_home(self):
-        collector = enable_tracing(SpanCollector())
-        engine = _engine()
-        with root_span("cli.analyze", trace_id=TRACE):
-            engine.report()
-        spans = _by_name(collector)
-        (pool,) = spans["engine.pool"]
-        assert pool.attrs["start_method"] == "fork"
-        workers = spans["engine.worker_chunk"]
-        assert workers  # at least one chunk crossed the pool
-        assert {w.trace_id for w in workers} == {TRACE}
-        assert {w.parent_id for w in workers} == {pool.span_id}
-        # Shipped records really came from other processes.
-        assert all(w.pid != pool.pid for w in workers)
-
-
-class TestSpawnPool:
-    def test_worker_chunk_spans_ship_home(self, monkeypatch):
-        # Hide fork so the engine takes the spawn path (pickled payload
-        # + worker-side rebuild) exactly as on Windows/macOS.
-        monkeypatch.setattr(
-            engine_mod.multiprocessing,
-            "get_all_start_methods",
-            lambda: ["spawn"],
-        )
-        collector = enable_tracing(SpanCollector())
-        engine = _engine()
-        with root_span("cli.analyze", trace_id=TRACE):
-            engine.report()
-        spans = _by_name(collector)
-        (pool,) = spans["engine.pool"]
-        assert pool.attrs["start_method"] == "spawn"
-        workers = spans["engine.worker_chunk"]
-        assert workers
-        assert {w.trace_id for w in workers} == {TRACE}
-        assert {w.parent_id for w in workers} == {pool.span_id}
-        assert all(w.pid != pool.pid for w in workers)
-
-
 class TestDisabledOverhead:
     def test_disabled_run_allocates_no_span_machinery(self, monkeypatch):
         """With tracing off, an instrumented end-to-end run must never
@@ -201,7 +147,7 @@ class TestDisabledOverhead:
 
         monkeypatch.setattr(trace_mod, "Span", bomb)
         monkeypatch.setattr(trace_mod, "SpanRecord", bomb)
-        engine = _engine(jobs=0)
+        engine = _engine()
         report = engine.report()
         assert report.total > 0
         assert current_collector() is None

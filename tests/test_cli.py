@@ -163,12 +163,22 @@ class TestEngineCli:
             == second.split("engine stats")[0]
         )
 
-    def test_analyze_parallel_jobs(self, capsys):
-        assert main(
-            ["analyze", "q12710", "--no-cache", "--jobs", "2", "--stats"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "workers        : 2" in out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "TreeFlat", "--no-cache"],
+            ["harden", "TreeFlat", "--no-cache"],
+            ["table1", "--designs", "TreeFlat"],
+            ["serve", "--port", "0"],
+        ],
+        ids=["analyze", "harden", "table1", "serve"],
+    )
+    def test_jobs_flag_rejected(self, argv, capsys):
+        """The engine evaluates in-process: no command has ``--jobs``."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--jobs", "2"])
+        assert exited.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_analyze_explicit_method(self, capsys):
         """``analyze`` routes by regime and has no ``--method`` flag."""
